@@ -65,44 +65,50 @@ slug(const std::string &name)
 }
 
 /**
+ * Run one attempt of the cell @p err labels, recording a throw in
+ * @p err.  Shared by the in-process scheduler and worker processes.
+ */
+bool
+attemptCell(const std::function<void()> &attempt, CellError &err)
+{
+    try {
+        // Test hook: make exactly this cell throw, so the end-to-end
+        // failure path (retries, CellError, manifest, exit code) is
+        // exercisable from tests and CI.
+        if (const std::string f = env::str("SDBP_TEST_FAIL_CELL");
+            !f.empty() && err.run + "/" + err.policy == f)
+            throw std::runtime_error("SDBP_TEST_FAIL_CELL forced failure");
+        attempt();
+        return true;
+    } catch (const SimulationTimeout &e) {
+        err.timedOut = true;
+        err.message = e.what();
+    } catch (const std::exception &e) {
+        err.timedOut = false;
+        err.message = e.what();
+    } catch (...) {
+        err.timedOut = false;
+        err.message = "unknown exception";
+    }
+    return false;
+}
+
+/**
  * Run @p attempt up to 1 + retries times with exponential backoff.
  * Returns true on success; otherwise @p err holds the last failure.
  */
 bool
-runWithRetries(std::size_t index, const std::string &run,
-               const std::string &policy, unsigned retries,
-               const std::function<void()> &attempt, CellError &err)
+runWithRetries(unsigned retries, const std::function<void()> &attempt,
+               CellError &err)
 {
-    err.index = index;
-    err.run = run;
-    err.policy = policy;
     const unsigned max_attempts = retries + 1;
     for (unsigned a = 1; a <= max_attempts; ++a) {
         err.attempts = a;
-        try {
-            // Test hook: make exactly this cell throw, so the
-            // end-to-end failure path (retries, CellError, manifest,
-            // exit code) is exercisable from tests and CI.
-            if (const std::string f =
-                    env::str("SDBP_TEST_FAIL_CELL");
-                !f.empty() && run + "/" + policy == f)
-                throw std::runtime_error(
-                    "SDBP_TEST_FAIL_CELL forced failure");
-            attempt();
+        if (attemptCell(attempt, err))
             return true;
-        } catch (const SimulationTimeout &e) {
-            err.timedOut = true;
-            err.message = e.what();
-        } catch (const std::exception &e) {
-            err.timedOut = false;
-            err.message = e.what();
-        } catch (...) {
-            err.timedOut = false;
-            err.message = "unknown exception";
-        }
         if (a < max_attempts && !shutdownRequested()) {
-            warn("cell " + run + "/" + policy + " failed (attempt " +
-                 std::to_string(a) + "/" +
+            warn("cell " + err.run + "/" + err.policy +
+                 " failed (attempt " + std::to_string(a) + "/" +
                  std::to_string(max_attempts) + "): " + err.message);
             const unsigned delay_ms =
                 std::min(100u << (a - 1), 2000u);
@@ -265,6 +271,27 @@ parallelFor(std::size_t n, unsigned jobs,
         std::rethrow_exception(first);
 }
 
+std::string
+cellArtifactPath(const std::string &base, const std::string &run,
+                 const std::string &policy)
+{
+    const std::string suffix = "." + slug(run) + "." + slug(policy);
+    const auto slash = base.find_last_of('/');
+    const auto dot = base.find_last_of('.');
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash))
+        return base + suffix;
+    return base.substr(0, dot) + suffix + base.substr(dot);
+}
+
+namespace
+{
+
+/**
+ * Per-cell copy of cfg.  A multi-cell sweep rewrites any artifact
+ * paths via cellArtifactPath so concurrent cells never share an
+ * output file; a single cell keeps the caller's exact paths.
+ */
 RunConfig
 cellConfig(const RunConfig &cfg, bool multi_cell,
            const std::string &run, const std::string &policy)
@@ -284,68 +311,124 @@ cellConfig(const RunConfig &cfg, bool multi_cell,
     return out;
 }
 
-std::string
-cellArtifactPath(const std::string &base, const std::string &run,
-                 const std::string &policy)
-{
-    const std::string suffix = "." + slug(run) + "." + slug(policy);
-    const auto slash = base.find_last_of('/');
-    const auto dot = base.find_last_of('.');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return base + suffix;
-    return base.substr(0, dot) + suffix + base.substr(dot);
-}
+/** What the cell lifecycle needs to know about one kind of row. */
+template <typename Row>
+struct RowTraits;
 
-double
-Grid::runSecondsTotal() const
+/** Single-core rows: one benchmark each. */
+template <>
+struct RowTraits<std::string>
 {
-    double sum = 0;
-    for (const auto &cell : cells)
-        sum += cell.wallSeconds;
-    return sum;
-}
+    static constexpr const char *kKind = "grid";
 
-double
-MixGrid::runSecondsTotal() const
-{
-    double sum = 0;
-    for (const auto &cell : cells)
-        sum += cell.wallSeconds;
-    return sum;
-}
+    static const std::string &name(const std::string &b) { return b; }
 
-Grid
-runGrid(std::vector<std::string> benchmarks,
-        std::vector<PolicyKind> policies, const RunConfig &cfg,
-        const SweepOptions &opts)
+    static RunResult
+    run(const std::string &benchmark, PolicyKind kind,
+        const RunConfig &cfg)
+    {
+        return runSingleCore(benchmark, kind, cfg);
+    }
+
+    static void
+    label(RunResult &r, const std::string &run, const std::string &pol)
+    {
+        r.benchmark = run;
+        r.policy = pol;
+    }
+
+    /** In-memory payloads (the LLC reference trace, per-frame
+     *  efficiency) are not checkpointed, so such grids must re-run. */
+    static bool
+    checkpointable(const RunConfig &cfg)
+    {
+        return !cfg.recordLlcTrace && !cfg.trackEfficiency;
+    }
+
+    /** Workers rebuild benchmark rows from the row labels alone. */
+    static std::vector<MixProfile>
+    workerMixes(const std::vector<std::string> &)
+    {
+        return {};
+    }
+};
+
+/** Multi-core rows: one mix each. */
+template <>
+struct RowTraits<MixProfile>
 {
-    Grid grid;
-    grid.benchmarks = std::move(benchmarks);
-    grid.policies = std::move(policies);
+    static constexpr const char *kKind = "mix_grid";
+
+    static const std::string &name(const MixProfile &m) { return m.name; }
+
+    static MulticoreRunResult
+    run(const MixProfile &mix, PolicyKind kind, const RunConfig &cfg)
+    {
+        return runMulticore(mix, kind, cfg);
+    }
+
+    static void
+    label(MulticoreRunResult &r, const std::string &run,
+          const std::string &pol)
+    {
+        r.mix = run;
+        r.policy = pol;
+    }
+
+    /** runMulticore never records the in-memory payloads that make a
+     *  grid non-resumable (it ignores cfg.recordLlcTrace and
+     *  cfg.trackEfficiency), so every mix grid checkpoints fully.
+     *  See SweepResilienceTest.MixGridResumeIgnoresArtifactFlags. */
+    static bool checkpointable(const RunConfig &) { return true; }
+
+    /** Workers need each mix's benchmark list from the manifest. */
+    static std::vector<MixProfile>
+    workerMixes(const std::vector<MixProfile> &mixes)
+    {
+        return mixes;
+    }
+};
+
+/**
+ * The one grid executor.  Every cell goes through the same lifecycle
+ * — resume from the manifest, skip on shutdown, run with retries,
+ * checkpoint, span — under one of two schedulers: worker
+ * subprocesses (opts.workers, DESIGN.md §16) or the in-process pool.
+ * Any unmet worker requirement warns and falls back to the pool, so
+ * a sweep never silently loses its workers option.
+ */
+template <typename Row, typename Result>
+void
+runCells(CellGrid<Result> &grid, const std::vector<Row> &rows,
+         const RunConfig &cfg, const SweepOptions &opts)
+{
+    using Traits = RowTraits<Row>;
     grid.jobs = opts.jobs ? opts.jobs : defaultJobs();
     const std::size_t cols = grid.policies.size();
-    const std::size_t n = grid.benchmarks.size() * cols;
+    const std::size_t n = rows.size() * cols;
     grid.cells.resize(n);
-    const bool multi = n > 1;
 
+    std::vector<std::string> run_names;
+    run_names.reserve(rows.size());
+    for (const Row &row : rows)
+        run_names.push_back(Traits::name(row));
     std::vector<std::string> policy_names;
     policy_names.reserve(cols);
     for (const PolicyKind kind : grid.policies)
         policy_names.push_back(policyName(kind));
+    const auto cellName = [&](std::size_t i) {
+        return run_names[i / cols] + "/" + policy_names[i % cols];
+    };
 
-    // In-memory payloads (the LLC reference trace, per-frame
-    // efficiency) are not checkpointed, so such grids must re-run.
-    const bool can_resume =
-        !cfg.recordLlcTrace && !cfg.trackEfficiency;
+    const bool checkpointable = Traits::checkpointable(cfg);
     std::unique_ptr<SweepManifest> manifest;
     bool resume = false;
     if (!opts.manifestPath.empty()) {
         manifest = std::make_unique<SweepManifest>(
-            opts.manifestPath, "grid", grid.benchmarks, policy_names,
+            opts.manifestPath, Traits::kKind, run_names, policy_names,
             cfg.warmupInstructions, cfg.measureInstructions);
-        resume = opts.resume && can_resume;
-        if (opts.resume && !can_resume)
+        resume = opts.resume && checkpointable;
+        if (opts.resume && !checkpointable)
             warn("sweep records in-memory artifacts; ignoring resume "
                  "and re-running every cell");
         if (resume)
@@ -356,16 +439,28 @@ runGrid(std::vector<std::string> benchmarks,
     }
 
     obs::SpanTracer &tracer = obs::SpanTracer::global();
+    ProgressMeter progress(n);
+    const auto start = std::chrono::steady_clock::now();
 
-    // Multi-process mode (DESIGN.md §16): this call becomes the
-    // coordinator, worker subprocesses run the cells.  Any unmet
-    // requirement warns and falls back to the in-process path — a
-    // sweep never silently loses its workers option.
+    // Cells holding a real result (restored or run); written per
+    // index, so concurrent pool tasks never share an element.
+    std::vector<char> done(n, 0);
+    for (std::size_t i = 0; resume && i < n; ++i) {
+        if (!manifest->isCompleted(i))
+            continue;
+        obs::fromJson(manifest->completedMetrics(i), grid.cells[i]);
+        done[i] = 1;
+        ++grid.resumed;
+        tracer.span("cell", cellName(i)).setResumed();
+        progress.update(false);
+    }
+
+    bool on_workers = false;
     if (opts.workers > 0 && n > 0) {
         const char *why = nullptr;
         if (!manifest)
             why = "SDBP_WORKERS needs a sweep manifest";
-        else if (!can_resume)
+        else if (!checkpointable)
             why = "sweep records in-memory artifacts that cannot "
                   "cross process boundaries";
         else if (!workerCapable())
@@ -374,111 +469,100 @@ runGrid(std::vector<std::string> benchmarks,
         if (why) {
             warn(std::string(why) + "; running the sweep in-process");
         } else {
-            const auto start = std::chrono::steady_clock::now();
-            manifest->setConfig(runConfigToJson(cfg));
-            manifest->enableSharedAccess();
-            // Clear leases/failures a dead coordinator left behind
-            // (also persists the config blob for the workers).
+            manifest->shareWithWorkers(cfg, Traits::workerMixes(rows));
+            // Clear leases/failures a dead coordinator left behind.
             manifest->resetLeases();
-            ProgressMeter progress(n);
-            std::size_t restored = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!(resume && manifest->isCompleted(i)))
-                    continue;
-                ++restored;
-                auto span = tracer.span(
-                    "cell", grid.benchmarks[i / cols] + "/" +
-                        policy_names[i % cols]);
-                span.setResumed();
-                progress.update(false);
-            }
             const FabricResult fabric = superviseWorkers(
-                *manifest, grid.benchmarks, policy_names,
-                opts.workers, opts.retries,
+                *manifest, opts.workers, opts.retries,
                 [&progress](bool failed) { progress.update(failed); });
-            if (!fabric.fallback) {
+            on_workers = !fabric.fallback;
+            if (on_workers) {
                 grid.jobs = opts.workers;
-                grid.resumed = restored;
                 grid.skipped = fabric.skipped;
                 grid.errors = fabric.errors;
                 for (std::size_t i = 0; i < n; ++i) {
-                    if (manifest->isCompleted(i)) {
-                        grid.cells[i] = runResultFromJson(
-                            manifest->completedMetrics(i));
-                    } else {
-                        grid.cells[i] = RunResult{};
-                        grid.cells[i].benchmark =
-                            grid.benchmarks[i / cols];
-                        grid.cells[i].policy = policy_names[i % cols];
-                    }
+                    if (done[i] || !manifest->isCompleted(i))
+                        continue;
+                    obs::fromJson(manifest->completedMetrics(i),
+                                  grid.cells[i]);
+                    done[i] = 1;
                 }
-                grid.wallSeconds = secondsSince(start);
-                return grid;
             }
         }
     }
 
-    std::mutex book_mutex;
-    ProgressMeter progress(n);
-    const auto start = std::chrono::steady_clock::now();
-    parallelFor(n, grid.jobs, [&](std::size_t i) {
-        const auto &bench = grid.benchmarks[i / cols];
-        const PolicyKind kind = grid.policies[i % cols];
-        const std::string &pol = policy_names[i % cols];
-        auto span = tracer.span("cell", bench + "/" + pol);
+    if (!on_workers) {
+        std::mutex book_mutex;
+        parallelFor(n, grid.jobs, [&](std::size_t i) {
+            if (done[i])
+                return;
+            auto span = tracer.span("cell", cellName(i));
+            if (shutdownRequested()) {
+                if (manifest)
+                    manifest->markSkipped(i);
+                span.setSkipped();
+                progress.update(false);
+                std::lock_guard<std::mutex> lock(book_mutex);
+                ++grid.skipped;
+                return;
+            }
 
-        if (resume && manifest->isCompleted(i)) {
-            grid.cells[i] =
-                runResultFromJson(manifest->completedMetrics(i));
-            span.setResumed();
-            progress.update(false);
-            std::lock_guard<std::mutex> lock(book_mutex);
-            ++grid.resumed;
-            return;
-        }
-        if (shutdownRequested()) {
+            CellError err;
+            err.index = i;
+            err.run = run_names[i / cols];
+            err.policy = policy_names[i % cols];
+            const bool ok = runWithRetries(
+                opts.retries,
+                [&] {
+                    grid.cells[i] = Traits::run(
+                        rows[i / cols], grid.policies[i % cols],
+                        cellConfig(cfg, n > 1, err.run, err.policy));
+                },
+                err);
+            span.setAttempts(err.attempts);
+            if (ok) {
+                done[i] = 1;
+                if (manifest)
+                    manifest->markCompleted(i, obs::toJson(grid.cells[i]));
+                progress.update(false);
+                return;
+            }
+            span.setFailed(err.timedOut);
+            progress.update(true);
             if (manifest)
-                manifest->markSkipped(i);
-            span.setSkipped();
-            progress.update(false);
+                manifest->markFailed(err);
             std::lock_guard<std::mutex> lock(book_mutex);
-            ++grid.skipped;
-            return;
-        }
-
-        CellError err;
-        const bool ok = runWithRetries(
-            i, bench, pol, opts.retries,
-            [&] {
-                grid.cells[i] = runSingleCore(
-                    bench, kind, cellConfig(cfg, multi, bench, pol));
-            },
-            err);
-        span.setAttempts(err.attempts);
-        if (ok) {
-            if (manifest)
-                manifest->markCompleted(
-                    i, runResultToJson(grid.cells[i]));
-            progress.update(false);
-            return;
-        }
-        span.setFailed(err.timedOut);
-        progress.update(true);
-        grid.cells[i] = RunResult{};
-        grid.cells[i].benchmark = bench;
-        grid.cells[i].policy = pol;
-        if (manifest)
-            manifest->markFailed(err);
-        std::lock_guard<std::mutex> lock(book_mutex);
-        grid.errors.push_back(std::move(err));
-    });
+            grid.errors.push_back(std::move(err));
+        });
+        // Pool tasks push errors in completion order; report them in
+        // cell order, as the serial loop would.
+        std::sort(grid.errors.begin(), grid.errors.end(),
+                  [](const CellError &a, const CellError &b) {
+                      return a.index < b.index;
+                  });
+    }
     grid.wallSeconds = secondsSince(start);
-    // Workers push errors in completion order; report them in cell
-    // order, as the serial loop would.
-    std::sort(grid.errors.begin(), grid.errors.end(),
-              [](const CellError &a, const CellError &b) {
-                  return a.index < b.index;
-              });
+
+    for (std::size_t i = 0; i < n; ++i) {
+        if (done[i])
+            continue;
+        grid.cells[i] = Result{};
+        Traits::label(grid.cells[i], run_names[i / cols],
+                      policy_names[i % cols]);
+    }
+}
+
+} // anonymous namespace
+
+Grid
+runGrid(std::vector<std::string> benchmarks,
+        std::vector<PolicyKind> policies, const RunConfig &cfg,
+        const SweepOptions &opts)
+{
+    Grid grid;
+    grid.benchmarks = std::move(benchmarks);
+    grid.policies = std::move(policies);
+    runCells(grid, grid.benchmarks, cfg, opts);
     return grid;
 }
 
@@ -490,168 +574,34 @@ runMixGrid(std::vector<MixProfile> mixes,
     MixGrid grid;
     grid.mixes = std::move(mixes);
     grid.policies = std::move(policies);
-    grid.jobs = opts.jobs ? opts.jobs : defaultJobs();
-    const std::size_t cols = grid.policies.size();
-    const std::size_t n = grid.mixes.size() * cols;
-    grid.cells.resize(n);
-    const bool multi = n > 1;
-
-    std::vector<std::string> run_names;
-    run_names.reserve(grid.mixes.size());
-    for (const MixProfile &mix : grid.mixes)
-        run_names.push_back(mix.name);
-    std::vector<std::string> policy_names;
-    policy_names.reserve(cols);
-    for (const PolicyKind kind : grid.policies)
-        policy_names.push_back(policyName(kind));
-
-    std::unique_ptr<SweepManifest> manifest;
-    bool resume = false;
-    if (!opts.manifestPath.empty()) {
-        manifest = std::make_unique<SweepManifest>(
-            opts.manifestPath, "mix_grid", run_names, policy_names,
-            cfg.warmupInstructions, cfg.measureInstructions);
-        // Unlike runGrid, no can_resume guard is needed here:
-        // runMulticore never records the in-memory payloads that
-        // make a grid non-resumable (MulticoreRunResult has no
-        // llcTrace / frameEfficiency members, and the multicore
-        // engine ignores cfg.recordLlcTrace / cfg.trackEfficiency),
-        // so every mix grid checkpoints completely.  See
-        // SweepResilienceTest.MixGridResumeIgnoresArtifactFlags.
-        resume = opts.resume;
-        if (resume)
-            manifest->loadCompleted();
-        manifest->flush();
-    }
-
-    obs::SpanTracer &tracer = obs::SpanTracer::global();
-
-    // Multi-process mode; see runGrid for the fallback rules.  The
-    // manifest additionally carries each mix's benchmark list so a
-    // worker can rebuild MixProfiles without re-running main().
-    if (opts.workers > 0 && n > 0) {
-        const char *why = nullptr;
-        if (!manifest)
-            why = "SDBP_WORKERS needs a sweep manifest";
-        else if (!workerCapable())
-            why = "this binary's main() never called "
-                  "sweep::maybeWorkerMain";
-        if (why) {
-            warn(std::string(why) + "; running the sweep in-process");
-        } else {
-            const auto start = std::chrono::steady_clock::now();
-            manifest->setConfig(runConfigToJson(cfg));
-            obs::JsonValue jmixes = obs::JsonValue::array();
-            for (const MixProfile &mix : grid.mixes) {
-                obs::JsonValue jm = obs::JsonValue::object();
-                jm.set("name", mix.name);
-                obs::JsonValue jb = obs::JsonValue::array();
-                for (const std::string &b : mix.benchmarks)
-                    jb.push(b);
-                jm.set("benchmarks", std::move(jb));
-                jmixes.push(std::move(jm));
-            }
-            manifest->setMixes(std::move(jmixes));
-            manifest->enableSharedAccess();
-            manifest->resetLeases();
-            ProgressMeter progress(n);
-            std::size_t restored = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!(resume && manifest->isCompleted(i)))
-                    continue;
-                ++restored;
-                auto span = tracer.span(
-                    "cell", run_names[i / cols] + "/" +
-                        policy_names[i % cols]);
-                span.setResumed();
-                progress.update(false);
-            }
-            const FabricResult fabric = superviseWorkers(
-                *manifest, run_names, policy_names, opts.workers,
-                opts.retries,
-                [&progress](bool failed) { progress.update(failed); });
-            if (!fabric.fallback) {
-                grid.jobs = opts.workers;
-                grid.resumed = restored;
-                grid.skipped = fabric.skipped;
-                grid.errors = fabric.errors;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (manifest->isCompleted(i)) {
-                        grid.cells[i] = multicoreResultFromJson(
-                            manifest->completedMetrics(i));
-                    } else {
-                        grid.cells[i] = MulticoreRunResult{};
-                        grid.cells[i].mix = run_names[i / cols];
-                        grid.cells[i].policy = policy_names[i % cols];
-                    }
-                }
-                grid.wallSeconds = secondsSince(start);
-                return grid;
-            }
-        }
-    }
-
-    std::mutex book_mutex;
-    ProgressMeter progress(n);
-    const auto start = std::chrono::steady_clock::now();
-    parallelFor(n, grid.jobs, [&](std::size_t i) {
-        const auto &mix = grid.mixes[i / cols];
-        const PolicyKind kind = grid.policies[i % cols];
-        const std::string &pol = policy_names[i % cols];
-        auto span = tracer.span("cell", mix.name + "/" + pol);
-
-        if (resume && manifest->isCompleted(i)) {
-            grid.cells[i] = multicoreResultFromJson(
-                manifest->completedMetrics(i));
-            span.setResumed();
-            progress.update(false);
-            std::lock_guard<std::mutex> lock(book_mutex);
-            ++grid.resumed;
-            return;
-        }
-        if (shutdownRequested()) {
-            if (manifest)
-                manifest->markSkipped(i);
-            span.setSkipped();
-            progress.update(false);
-            std::lock_guard<std::mutex> lock(book_mutex);
-            ++grid.skipped;
-            return;
-        }
-
-        CellError err;
-        const bool ok = runWithRetries(
-            i, mix.name, pol, opts.retries,
-            [&] {
-                grid.cells[i] = runMulticore(
-                    mix, kind,
-                    cellConfig(cfg, multi, mix.name, pol));
-            },
-            err);
-        span.setAttempts(err.attempts);
-        if (ok) {
-            if (manifest)
-                manifest->markCompleted(
-                    i, multicoreResultToJson(grid.cells[i]));
-            progress.update(false);
-            return;
-        }
-        span.setFailed(err.timedOut);
-        progress.update(true);
-        grid.cells[i] = MulticoreRunResult{};
-        grid.cells[i].mix = mix.name;
-        grid.cells[i].policy = pol;
-        if (manifest)
-            manifest->markFailed(err);
-        std::lock_guard<std::mutex> lock(book_mutex);
-        grid.errors.push_back(std::move(err));
-    });
-    grid.wallSeconds = secondsSince(start);
-    std::sort(grid.errors.begin(), grid.errors.end(),
-              [](const CellError &a, const CellError &b) {
-                  return a.index < b.index;
-              });
+    runCells(grid, grid.mixes, cfg, opts);
     return grid;
+}
+
+std::optional<obs::JsonValue>
+runManifestCell(const SweepManifest &manifest, std::size_t index,
+                CellError &err)
+{
+    const SweepFingerprint &fp = manifest.fingerprint();
+    const std::size_t row = index / fp.policies.size();
+    err.run = fp.runs[row];
+    err.policy = fp.policies[index % fp.policies.size()];
+    const PolicyKind kind = parsePolicyKind(err.policy).value();
+    const RunConfig cfg = cellConfig(
+        manifest.config().value(), manifest.cellCount() > 1, err.run,
+        err.policy);
+    std::optional<obs::JsonValue> metrics;
+    attemptCell(
+        [&] {
+            if (manifest.kind() == RowTraits<MixProfile>::kKind)
+                metrics = obs::toJson(RowTraits<MixProfile>::run(
+                    manifest.mixes().at(row), kind, cfg));
+            else
+                metrics = obs::toJson(
+                    RowTraits<std::string>::run(err.run, kind, cfg));
+        },
+        err);
+    return metrics;
 }
 
 Grid

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,27 +104,17 @@ std::string cellArtifactPath(const std::string &base,
                              const std::string &policy);
 
 /**
- * Per-cell copy of cfg.  A multi-cell sweep rewrites any artifact
- * paths via cellArtifactPath so concurrent cells never share an
- * output file; a single cell keeps the caller's exact paths.  Shared
- * with the worker subprocess entry (sim/worker) so in-process and
- * multi-process cells build identical configurations.
+ * Results of a rows x policies sweep, row-major in input order; the
+ * rows are benchmarks (Grid) or multi-core mixes (MixGrid).
  */
-RunConfig cellConfig(const RunConfig &cfg, bool multi_cell,
-                     const std::string &run, const std::string &policy);
-
-/**
- * Results of a benchmarks x policies sweep, row-major in input
- * order.
- */
-struct Grid
+template <typename Result>
+struct CellGrid
 {
-    std::vector<std::string> benchmarks;
     std::vector<PolicyKind> policies;
-    /** benchmarks.size() * policies.size() cells, row-major.  Failed
-     *  and skipped cells hold a default RunResult with only the
-     *  benchmark/policy labels filled in. */
-    std::vector<RunResult> cells;
+    /** rows * policies.size() cells, row-major.  Failed and skipped
+     *  cells hold a default Result with only the row/policy labels
+     *  filled in. */
+    std::vector<Result> cells;
     /** Cells that exhausted their attempts, ordered by index. */
     std::vector<CellError> errors;
     /** Cells skipped because shutdown was requested. */
@@ -138,38 +129,33 @@ struct Grid
     /** Every cell holds a real result. */
     bool ok() const { return errors.empty() && skipped == 0; }
 
-    const RunResult &
-    at(std::size_t b, std::size_t p) const
+    const Result &
+    at(std::size_t row, std::size_t p) const
     {
-        return cells[b * policies.size() + p];
+        return cells[row * policies.size() + p];
     }
 
     /** Sum of per-run wall clocks (the serial-equivalent cost). */
-    double runSecondsTotal() const;
+    double
+    runSecondsTotal() const
+    {
+        double sum = 0;
+        for (const Result &cell : cells)
+            sum += cell.wallSeconds;
+        return sum;
+    }
 };
 
-/** Multicore-mix equivalent of Grid. */
-struct MixGrid
+/** Single-core sweep: one row per benchmark. */
+struct Grid : CellGrid<RunResult>
+{
+    std::vector<std::string> benchmarks;
+};
+
+/** Multi-core sweep: one row per mix. */
+struct MixGrid : CellGrid<MulticoreRunResult>
 {
     std::vector<MixProfile> mixes;
-    std::vector<PolicyKind> policies;
-    /** mixes.size() * policies.size() cells, row-major. */
-    std::vector<MulticoreRunResult> cells;
-    std::vector<CellError> errors;
-    std::size_t skipped = 0;
-    std::size_t resumed = 0;
-    unsigned jobs = 1;
-    double wallSeconds = 0;
-
-    bool ok() const { return errors.empty() && skipped == 0; }
-
-    const MulticoreRunResult &
-    at(std::size_t m, std::size_t p) const
-    {
-        return cells[m * policies.size() + p];
-    }
-
-    double runSecondsTotal() const;
 };
 
 /**
@@ -193,7 +179,9 @@ Grid runGrid(std::vector<std::string> benchmarks,
              const SweepOptions &opts);
 
 /** Simulate every (mix, policy) cell with runMulticore, with the
- *  same failure isolation and checkpointing as runGrid. */
+ *  same failure isolation, checkpointing and worker mode as runGrid
+ *  (mix grids always checkpoint: runMulticore records no in-memory
+ *  artifacts). */
 MixGrid runMixGrid(std::vector<MixProfile> mixes,
                    std::vector<PolicyKind> policies,
                    const RunConfig &cfg, const SweepOptions &opts);
@@ -206,6 +194,16 @@ MixGrid runMixGrid(std::vector<MixProfile> mixes,
                    std::vector<PolicyKind> policies,
                    const RunConfig &cfg,
                    unsigned jobs = defaultJobs());
+
+/**
+ * One attempt at cell @p index of the sweep @p manifest describes:
+ * the worker-process side of the cell lifecycle that runGrid and
+ * runMixGrid run in-process.  Returns the cell's checkpoint metrics,
+ * or nullopt with the failure recorded in @p err.
+ */
+std::optional<obs::JsonValue> runManifestCell(const SweepManifest &manifest,
+                                              std::size_t index,
+                                              CellError &err);
 
 } // namespace sdbp::sweep
 

@@ -5,15 +5,13 @@
 #include "util/file.hh"
 #include "util/logging.hh"
 
-namespace sdbp::sweep
-{
-
-namespace
+namespace sdbp
 {
 
 const char *
-statusName(CellStatus s)
+obs::JsonEnum<sweep::CellStatus>::name(sweep::CellStatus s)
 {
+    using sweep::CellStatus;
     switch (s) {
     case CellStatus::Pending: return "pending";
     case CellStatus::Leased: return "leased";
@@ -24,67 +22,65 @@ statusName(CellStatus s)
     return "pending";
 }
 
-CellStatus
-statusFromName(const std::string &name)
+std::optional<sweep::CellStatus>
+obs::JsonEnum<sweep::CellStatus>::parse(const std::string &s)
 {
-    if (name == "leased")
-        return CellStatus::Leased;
-    if (name == "completed")
-        return CellStatus::Completed;
-    if (name == "failed")
-        return CellStatus::Failed;
-    if (name == "skipped")
-        return CellStatus::Skipped;
-    return CellStatus::Pending;
+    using sweep::CellStatus;
+    for (const CellStatus c :
+         {CellStatus::Pending, CellStatus::Leased, CellStatus::Completed,
+          CellStatus::Failed, CellStatus::Skipped})
+        if (s == name(c))
+            return c;
+    return std::nullopt;
 }
 
-std::uint64_t
-u64Field(const obs::JsonValue &v, const std::string &key)
+namespace sweep
 {
-    const obs::JsonValue *f = v.find(key);
-    return f ? f->asUInt() : 0;
+
+namespace
+{
+
+/** Parse a manifest document; nullopt (with @p err) if not JSON. */
+std::optional<ManifestFile>
+parseManifest(const std::string &text, std::string &err)
+{
+    const auto doc = obs::JsonValue::parse(text, &err);
+    if (!doc)
+        return std::nullopt;
+    return obs::fromJson<ManifestFile>(*doc);
 }
 
-double
-numField(const obs::JsonValue &v, const std::string &key)
+/** Copy the failure fields of @p err into @p c. */
+void
+recordFailure(CellRecord &c, const CellError &err)
 {
-    const obs::JsonValue *f = v.find(key);
-    return f ? f->asNumber() : 0.0;
+    c.error = err.message;
+    c.timedOut = err.timedOut;
+    c.crashed = err.crashed;
+    c.signal = err.signal;
 }
 
-std::string
-strField(const obs::JsonValue &v, const std::string &key)
+/**
+ * A claimed cell's attempt failed: requeue it as Pending while lease
+ * generations remain, else mark it Failed.  The error stays on a
+ * requeued cell as a diagnostic.
+ */
+void
+requeueOrFail(CellRecord &c, const CellError &err, unsigned max_attempts)
 {
-    const obs::JsonValue *f = v.find(key);
-    return f ? f->asString() : std::string{};
+    c.attempts = static_cast<unsigned>(c.generation);
+    c.lease = {};
+    c.status = c.generation < max_attempts ? CellStatus::Pending
+                                           : CellStatus::Failed;
+    recordFailure(c, err);
 }
 
+/** Does (pid, generation) still own cell @p c's lease? */
 bool
-boolField(const obs::JsonValue &v, const std::string &key)
+ownsLease(const CellRecord &c, std::int64_t pid, std::uint64_t generation)
 {
-    const obs::JsonValue *f = v.find(key);
-    return f && f->asBool();
-}
-
-obs::JsonValue
-stringArray(const std::vector<std::string> &items)
-{
-    obs::JsonValue arr = obs::JsonValue::array();
-    for (const auto &s : items)
-        arr.push(s);
-    return arr;
-}
-
-bool
-matchesStringArray(const obs::JsonValue *arr,
-                   const std::vector<std::string> &items)
-{
-    if (!arr || !arr->isArray() || arr->size() != items.size())
-        return false;
-    for (std::size_t i = 0; i < items.size(); ++i)
-        if (arr->at(i).asString() != items[i])
-            return false;
-    return true;
+    return c.status == CellStatus::Leased && c.lease.pid == pid &&
+        c.generation == generation;
 }
 
 } // anonymous namespace
@@ -93,11 +89,35 @@ SweepManifest::SweepManifest(std::string path, std::string kind,
                              std::vector<std::string> runs,
                              std::vector<std::string> policies,
                              InstCount warmup, InstCount measure)
-    : path_(std::move(path)), kind_(std::move(kind)),
-      runs_(std::move(runs)), policies_(std::move(policies)),
-      warmup_(warmup), measure_(measure),
-      cells_(runs_.size() * policies_.size())
+    : path_(std::move(path))
 {
+    file_.schema = kSchemaVersion;
+    file_.kind = std::move(kind);
+    file_.fingerprint = {std::move(runs), std::move(policies), warmup,
+                         measure};
+    const SweepFingerprint &fp = file_.fingerprint;
+    for (const std::string &run : fp.runs)
+        for (const std::string &policy : fp.policies) {
+            CellRecord c;
+            c.run = run;
+            c.policy = policy;
+            file_.cells.push_back(std::move(c));
+        }
+}
+
+SweepManifest::SweepManifest(std::string path)
+    : path_(std::move(path)), shared_(true)
+{
+    bool ok = false;
+    const std::string text = util::readFile(path_, &ok);
+    if (!ok)
+        fatal("cannot read sweep manifest " + path_);
+    std::string err;
+    auto file = parseManifest(text, err);
+    if (!file)
+        fatal("sweep manifest " + path_ + " is not valid JSON (" + err +
+              ")");
+    file_ = std::move(*file);
 }
 
 std::size_t
@@ -109,40 +129,29 @@ SweepManifest::loadCompleted()
         return 0; // no checkpoint yet: fresh start
 
     std::string err;
-    const auto doc = obs::JsonValue::parse(text, &err);
-    if (!doc)
+    const auto disk = parseManifest(text, err);
+    if (!disk)
         fatal("sweep manifest " + path_ + " is not valid JSON (" +
               err + "); delete it to start fresh");
-    // v1 checkpoints stay readable: cells only gained fields.
-    const std::uint64_t schema = u64Field(*doc, "schema");
-    if (schema < 1 || schema > kSchemaVersion)
+    if (disk->schema != kSchemaVersion)
         fatal("sweep manifest " + path_ +
               " has an unsupported schema version");
-    const obs::JsonValue *fp = doc->find("fingerprint");
-    if (strField(*doc, "kind") != kind_ || !fp ||
-        !matchesStringArray(fp->find("runs"), runs_) ||
-        !matchesStringArray(fp->find("policies"), policies_) ||
-        u64Field(*fp, "warmup_instructions") != warmup_ ||
-        u64Field(*fp, "measure_instructions") != measure_)
+    if (disk->kind != file_.kind ||
+        !(disk->fingerprint == file_.fingerprint))
         fatal("sweep manifest " + path_ +
               " describes a different sweep (benchmarks, policies or "
               "instruction budget changed); delete it to start fresh");
-
-    const obs::JsonValue *cells = doc->find("cells");
-    if (!cells || !cells->isArray() || cells->size() != cells_.size())
+    if (disk->cells.size() != file_.cells.size())
         fatal("sweep manifest " + path_ + " has the wrong cell count");
 
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t restored = 0;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        const obs::JsonValue &c = cells->at(i);
-        if (strField(c, "status") != "completed")
+    for (std::size_t i = 0; i < file_.cells.size(); ++i) {
+        const CellRecord &c = disk->cells[i];
+        if (c.status != CellStatus::Completed || !c.metrics.isObject())
             continue;
-        const obs::JsonValue *metrics = c.find("metrics");
-        if (!metrics || !metrics->isObject())
-            continue;
-        cells_[i].status = CellStatus::Completed;
-        cells_[i].metrics = *metrics;
+        file_.cells[i].status = CellStatus::Completed;
+        file_.cells[i].metrics = c.metrics;
         ++restored;
     }
     return restored;
@@ -152,66 +161,62 @@ bool
 SweepManifest::isCompleted(std::size_t index) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return cells_.at(index).status == CellStatus::Completed;
+    return file_.cells.at(index).status == CellStatus::Completed;
 }
 
 obs::JsonValue
 SweepManifest::completedMetrics(std::size_t index) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return cells_.at(index).metrics;
+    return file_.cells.at(index).metrics;
+}
+
+template <typename Fn>
+void
+SweepManifest::mutate(Fn &&fn)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::optional<util::FileLock> flk;
+    if (shared_) {
+        flk.emplace(path_ + ".lock");
+        reloadLocked();
+    }
+    fn(file_.cells);
+    flushLocked();
 }
 
 void
 SweepManifest::markCompleted(std::size_t index, obs::JsonValue metrics)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    Cell &c = cells_.at(index);
-    c.status = CellStatus::Completed;
-    c.metrics = std::move(metrics);
-    c.error.clear();
-    flushLocked();
+    mutate([&](std::vector<CellRecord> &cells) {
+        CellRecord &c = cells.at(index);
+        c.status = CellStatus::Completed;
+        c.metrics = std::move(metrics);
+        c.error.clear();
+    });
 }
 
 void
 SweepManifest::markFailed(const CellError &err)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    Cell &c = cells_.at(err.index);
-    c.status = CellStatus::Failed;
-    c.error = err.message;
-    c.attempts = err.attempts;
-    c.timedOut = err.timedOut;
-    c.crashed = err.crashed;
-    c.signal = err.signal;
-    if (err.leaseGeneration > 0)
-        c.generation = err.leaseGeneration;
-    flushLocked();
+    mutate([&](std::vector<CellRecord> &cells) {
+        CellRecord &c = cells.at(err.index);
+        c.status = CellStatus::Failed;
+        c.attempts = err.attempts;
+        recordFailure(c, err);
+        if (err.leaseGeneration > 0)
+            c.generation = err.leaseGeneration;
+    });
 }
 
 void
 SweepManifest::markSkipped(std::size_t index)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    Cell &c = cells_.at(index);
-    if (c.status == CellStatus::Pending)
-        c.status = CellStatus::Skipped;
-    flushLocked();
+    mutate([&](std::vector<CellRecord> &cells) {
+        CellRecord &c = cells.at(index);
+        if (c.status == CellStatus::Pending)
+            c.status = CellStatus::Skipped;
+    });
 }
 
 void
@@ -222,23 +227,13 @@ SweepManifest::flush()
 }
 
 void
-SweepManifest::setConfig(obs::JsonValue config)
+SweepManifest::shareWithWorkers(const RunConfig &cfg,
+                                std::vector<MixProfile> mixes)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    config_ = std::move(config);
-}
-
-void
-SweepManifest::setMixes(obs::JsonValue mixes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    mixes_ = std::move(mixes);
-}
-
-void
-SweepManifest::enableSharedAccess()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
+    file_.config = cfg;
+    file_.mixes = std::move(mixes);
+    flushLocked();
     shared_ = true;
 }
 
@@ -246,49 +241,40 @@ std::optional<SweepManifest::Claim>
 SweepManifest::tryClaim(std::int64_t pid, std::uint64_t now_ms,
                         std::uint64_t ttl_ms)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        Cell &c = cells_[i];
-        const bool stale = c.status == CellStatus::Leased &&
-            now_ms > c.heartbeatMs && now_ms - c.heartbeatMs > ttl_ms;
-        if (c.status != CellStatus::Pending && !stale)
-            continue;
-        if (stale)
-            warn("reclaiming stale lease on cell " +
-                 std::to_string(i) + " (worker pid " +
-                 std::to_string(c.leasePid) + " stopped heartbeating)");
-        c.status = CellStatus::Leased;
-        c.leasePid = pid;
-        c.claimedMs = now_ms;
-        c.heartbeatMs = now_ms;
-        ++c.generation;
-        flushLocked();
-        return Claim{i, c.generation};
-    }
-    return std::nullopt;
+    std::optional<Claim> claim;
+    mutate([&](std::vector<CellRecord> &cells) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            CellRecord &c = cells[i];
+            const bool stale = c.status == CellStatus::Leased &&
+                now_ms > c.lease.heartbeatMs &&
+                now_ms - c.lease.heartbeatMs > ttl_ms;
+            if (c.status != CellStatus::Pending && !stale)
+                continue;
+            if (stale)
+                warn("reclaiming stale lease on cell " +
+                     std::to_string(i) + " (worker pid " +
+                     std::to_string(c.lease.pid) +
+                     " stopped heartbeating)");
+            c.status = CellStatus::Leased;
+            c.lease = {pid, now_ms, now_ms};
+            ++c.generation;
+            claim = Claim{i, c.generation};
+            return;
+        }
+    });
+    return claim;
 }
 
 void
 SweepManifest::heartbeat(std::size_t index, std::int64_t pid,
                          std::uint64_t generation, std::uint64_t now_ms)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    Cell &c = cells_.at(index);
-    if (c.status != CellStatus::Leased || c.leasePid != pid ||
-        c.generation != generation)
-        return; // reclaimed from under us: nothing to refresh
-    c.heartbeatMs = now_ms;
-    flushLocked();
+    // Reclaimed from under the caller: nothing to refresh.
+    mutate([&](std::vector<CellRecord> &cells) {
+        CellRecord &c = cells.at(index);
+        if (ownsLease(c, pid, generation))
+            c.lease.heartbeatMs = now_ms;
+    });
 }
 
 void
@@ -298,183 +284,100 @@ SweepManifest::completeClaimed(std::size_t index, std::int64_t pid,
                                std::uint64_t started_ms,
                                std::uint64_t finished_ms)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    Cell &c = cells_.at(index);
-    if (c.status != CellStatus::Leased || c.leasePid != pid ||
-        c.generation != generation)
-        return; // reclaimed; the new owner's result wins
-    c.status = CellStatus::Completed;
-    c.metrics = std::move(metrics);
-    c.error.clear();
-    c.attempts = static_cast<unsigned>(c.generation);
-    c.timedOut = false;
-    c.crashed = false;
-    c.signal = 0;
-    c.leasePid = 0;
-    c.claimedMs = 0;
-    c.heartbeatMs = 0;
-    c.startedMs = started_ms;
-    c.finishedMs = finished_ms;
-    c.workerPid = pid;
-    flushLocked();
+    // Reclaimed: the new owner's result wins.
+    mutate([&](std::vector<CellRecord> &cells) {
+        CellRecord &c = cells.at(index);
+        if (!ownsLease(c, pid, generation))
+            return;
+        c.status = CellStatus::Completed;
+        c.metrics = std::move(metrics);
+        c.attempts = static_cast<unsigned>(c.generation);
+        recordFailure(c, {}); // clears an earlier attempt's failure
+        c.lease = {};
+        c.startedMs = started_ms;
+        c.finishedMs = finished_ms;
+        c.workerPid = pid;
+    });
 }
 
-CellStatus
+void
 SweepManifest::failClaimed(std::size_t index, const CellError &err,
                            std::int64_t pid, std::uint64_t generation,
                            unsigned max_attempts,
                            std::uint64_t started_ms,
                            std::uint64_t finished_ms)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    Cell &c = cells_.at(index);
-    if (c.status != CellStatus::Leased || c.leasePid != pid ||
-        c.generation != generation)
-        return c.status;
-    c.startedMs = started_ms;
-    c.finishedMs = finished_ms;
-    c.workerPid = pid;
-    const CellStatus out = requeueOrFailLocked(c, err, max_attempts);
-    flushLocked();
-    return out;
+    mutate([&](std::vector<CellRecord> &cells) {
+        CellRecord &c = cells.at(index);
+        if (!ownsLease(c, pid, generation))
+            return;
+        c.startedMs = started_ms;
+        c.finishedMs = finished_ms;
+        c.workerPid = pid;
+        requeueOrFail(c, err, max_attempts);
+    });
 }
 
-CellStatus
+void
 SweepManifest::chargeCrash(std::size_t index, std::int64_t pid,
                            const std::string &message, int sig,
                            bool timed_out, unsigned max_attempts,
                            std::uint64_t now_ms)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    Cell &c = cells_.at(index);
-    if (c.status != CellStatus::Leased || c.leasePid != pid)
-        return c.status; // completed/failed in-band or reclaimed
-    CellError err;
-    err.message = message;
-    err.timedOut = timed_out;
-    err.crashed = true;
-    err.signal = sig;
-    c.startedMs = c.claimedMs;
-    c.finishedMs = now_ms;
-    c.workerPid = pid;
-    const CellStatus out = requeueOrFailLocked(c, err, max_attempts);
-    flushLocked();
-    return out;
-}
-
-CellStatus
-SweepManifest::requeueOrFailLocked(Cell &c, const CellError &err,
-                                   unsigned max_attempts)
-{
-    c.attempts = static_cast<unsigned>(c.generation);
-    c.leasePid = 0;
-    c.claimedMs = 0;
-    c.heartbeatMs = 0;
-    if (c.generation < max_attempts) {
-        c.status = CellStatus::Pending;
-        c.error = err.message; // diagnostic; pending cells re-run
-        c.timedOut = err.timedOut;
-        c.crashed = err.crashed;
-        c.signal = err.signal;
-        return CellStatus::Pending;
-    }
-    c.status = CellStatus::Failed;
-    c.error = err.message;
-    c.timedOut = err.timedOut;
-    c.crashed = err.crashed;
-    c.signal = err.signal;
-    return CellStatus::Failed;
+    mutate([&](std::vector<CellRecord> &cells) {
+        CellRecord &c = cells.at(index);
+        // Completed/failed in-band, or reclaimed: not ours to charge.
+        if (c.status != CellStatus::Leased || c.lease.pid != pid)
+            return;
+        CellError err;
+        err.message = message;
+        err.timedOut = timed_out;
+        err.crashed = true;
+        err.signal = sig;
+        c.startedMs = c.lease.claimedMs;
+        c.finishedMs = now_ms;
+        c.workerPid = pid;
+        requeueOrFail(c, err, max_attempts);
+    });
 }
 
 void
 SweepManifest::resetLeases()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    for (Cell &c : cells_) {
-        if (c.status == CellStatus::Completed)
-            continue;
-        // Any lease or failure in the file predates this
-        // coordinator; re-run those cells with a fresh budget, as
-        // the in-process resume path does.
-        c.status = CellStatus::Pending;
-        c.leasePid = 0;
-        c.claimedMs = 0;
-        c.heartbeatMs = 0;
-        c.attempts = 0;
-        c.generation = 0;
-        c.timedOut = false;
-        c.crashed = false;
-        c.signal = 0;
-        c.workerPid = 0;
-        c.error.clear();
-    }
-    flushLocked();
+    // Any lease or failure in the file predates this coordinator;
+    // re-run those cells with a fresh budget, as the in-process
+    // resume path does.
+    mutate([](std::vector<CellRecord> &cells) {
+        for (CellRecord &c : cells) {
+            if (c.status == CellStatus::Completed)
+                continue;
+            CellRecord fresh;
+            fresh.run = std::move(c.run);
+            fresh.policy = std::move(c.policy);
+            c = std::move(fresh);
+        }
+    });
 }
 
 void
 SweepManifest::markSkippedPending()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::optional<util::FileLock> flk;
-    if (shared_) {
-        flk.emplace(path_ + ".lock");
-        reloadLocked();
-    }
-    for (Cell &c : cells_)
-        if (c.status == CellStatus::Pending)
-            c.status = CellStatus::Skipped;
-    flushLocked();
+    mutate([](std::vector<CellRecord> &cells) {
+        for (CellRecord &c : cells)
+            if (c.status == CellStatus::Pending)
+                c.status = CellStatus::Skipped;
+    });
 }
 
-std::vector<SweepManifest::CellView>
+std::vector<CellRecord>
 SweepManifest::snapshotCells()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (shared_) {
-        // Read-only: tmp+rename keeps the file consistent without
-        // the flock, so polling never contends with the workers.
+    // Read-only: tmp+rename keeps the file consistent without the
+    // flock, so polling never contends with the workers.
+    if (shared_)
         reloadLocked();
-    }
-    std::vector<CellView> out;
-    out.reserve(cells_.size());
-    for (const Cell &c : cells_) {
-        CellView v;
-        v.status = c.status;
-        v.leasePid = c.leasePid;
-        v.leaseGeneration = c.generation;
-        v.claimedMs = c.claimedMs;
-        v.heartbeatMs = c.heartbeatMs;
-        v.startedMs = c.startedMs;
-        v.finishedMs = c.finishedMs;
-        v.attempts = c.attempts;
-        v.timedOut = c.timedOut;
-        v.crashed = c.crashed;
-        v.signal = c.signal;
-        v.workerPid = c.workerPid;
-        v.error = c.error;
-        out.push_back(std::move(v));
-    }
-    return out;
+    return file_.cells;
 }
 
 void
@@ -486,228 +389,26 @@ SweepManifest::reloadLocked()
         fatal("sweep manifest " + path_ +
               " disappeared mid-sweep; cannot coordinate workers");
     std::string err;
-    const auto doc = obs::JsonValue::parse(text, &err);
-    if (!doc)
+    auto disk = parseManifest(text, err);
+    if (!disk)
         fatal("sweep manifest " + path_ +
               " became invalid JSON mid-sweep (" + err + ")");
-    const obs::JsonValue *cells = doc->find("cells");
-    if (!cells || !cells->isArray() || cells->size() != cells_.size())
+    if (disk->cells.size() != file_.cells.size())
         fatal("sweep manifest " + path_ +
               " changed cell count mid-sweep");
-    if (const obs::JsonValue *cfg = doc->find("config"))
-        config_ = *cfg;
-    if (const obs::JsonValue *mixes = doc->find("mixes"))
-        mixes_ = *mixes;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        const obs::JsonValue &jc = cells->at(i);
-        Cell &c = cells_[i];
-        c.status = statusFromName(strField(jc, "status"));
-        if (const obs::JsonValue *m = jc.find("metrics"))
-            c.metrics = *m;
-        c.error = strField(jc, "error");
-        c.attempts = static_cast<unsigned>(u64Field(jc, "attempts"));
-        c.timedOut = boolField(jc, "timed_out");
-        c.crashed = boolField(jc, "crashed");
-        c.signal = static_cast<int>(u64Field(jc, "signal"));
-        c.generation = u64Field(jc, "lease_generation");
-        c.startedMs = u64Field(jc, "started_ms");
-        c.finishedMs = u64Field(jc, "finished_ms");
-        c.workerPid =
-            static_cast<std::int64_t>(u64Field(jc, "worker_pid"));
-        if (const obs::JsonValue *lease = jc.find("lease")) {
-            c.leasePid =
-                static_cast<std::int64_t>(u64Field(*lease, "pid"));
-            c.claimedMs = u64Field(*lease, "claimed_ms");
-            c.heartbeatMs = u64Field(*lease, "heartbeat_ms");
-        } else {
-            c.leasePid = 0;
-            c.claimedMs = 0;
-            c.heartbeatMs = 0;
-        }
-    }
-}
-
-obs::JsonValue
-SweepManifest::toJsonLocked() const
-{
-    obs::JsonValue doc = obs::JsonValue::object();
-    doc.set("schema", kSchemaVersion);
-    doc.set("kind", kind_);
-    obs::JsonValue fp = obs::JsonValue::object();
-    fp.set("runs", stringArray(runs_));
-    fp.set("policies", stringArray(policies_));
-    fp.set("warmup_instructions", std::uint64_t{warmup_});
-    fp.set("measure_instructions", std::uint64_t{measure_});
-    doc.set("fingerprint", std::move(fp));
-    if (!config_.isNull())
-        doc.set("config", config_);
-    if (!mixes_.isNull())
-        doc.set("mixes", mixes_);
-
-    obs::JsonValue cells = obs::JsonValue::array();
-    const std::size_t cols = policies_.size();
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        const Cell &c = cells_[i];
-        obs::JsonValue cell = obs::JsonValue::object();
-        cell.set("run", runs_[i / cols]);
-        cell.set("policy", policies_[i % cols]);
-        cell.set("status", statusName(c.status));
-        if (c.status == CellStatus::Completed)
-            cell.set("metrics", c.metrics);
-        if (c.status == CellStatus::Failed) {
-            cell.set("error", c.error);
-            cell.set("attempts", std::uint64_t{c.attempts});
-            cell.set("timed_out", c.timedOut);
-            if (c.crashed) {
-                cell.set("crashed", true);
-                cell.set("signal",
-                         static_cast<std::uint64_t>(c.signal));
-            }
-        }
-        if (c.generation > 0)
-            cell.set("lease_generation", c.generation);
-        if (c.status == CellStatus::Leased) {
-            obs::JsonValue lease = obs::JsonValue::object();
-            lease.set("pid", static_cast<std::uint64_t>(c.leasePid));
-            lease.set("claimed_ms", c.claimedMs);
-            lease.set("heartbeat_ms", c.heartbeatMs);
-            cell.set("lease", std::move(lease));
-        }
-        if (c.startedMs > 0)
-            cell.set("started_ms", c.startedMs);
-        if (c.finishedMs > 0)
-            cell.set("finished_ms", c.finishedMs);
-        if (c.workerPid != 0)
-            cell.set("worker_pid",
-                     static_cast<std::uint64_t>(c.workerPid));
-        cells.push(std::move(cell));
-    }
-    doc.set("cells", std::move(cells));
-    return doc;
+    // Only cell state changes once shared; the sweep description is
+    // fixed, which keeps its unlocked accessors safe (and the cell
+    // vector keeps its storage).
+    for (std::size_t i = 0; i < file_.cells.size(); ++i)
+        file_.cells[i] = std::move(disk->cells[i]);
 }
 
 void
 SweepManifest::flushLocked() const
 {
-    if (!util::atomicWriteFile(path_, toJsonLocked().dump(2) + "\n"))
+    if (!util::atomicWriteFile(path_, obs::toJson(file_).dump(2) + "\n"))
         warn("cannot write sweep manifest " + path_);
 }
 
-obs::JsonValue
-runResultToJson(const RunResult &r)
-{
-    obs::JsonValue v = obs::JsonValue::object();
-    v.set("benchmark", r.benchmark);
-    v.set("policy", r.policy);
-    v.set("instructions", std::uint64_t{r.instructions});
-    v.set("cycles", std::uint64_t{r.cycles});
-    v.set("ipc", r.ipc);
-    v.set("mpki", r.mpki);
-    v.set("llc_accesses", r.llcAccesses);
-    v.set("llc_misses", r.llcMisses);
-    v.set("llc_bypasses", r.llcBypasses);
-    v.set("llc_efficiency", r.llcEfficiency);
-    v.set("has_dbrb", r.hasDbrb);
-    if (r.hasDbrb) {
-        obs::JsonValue d = obs::JsonValue::object();
-        d.set("predictions", r.dbrb.predictions);
-        d.set("positives", r.dbrb.positives);
-        d.set("false_positive_hits", r.dbrb.falsePositiveHits);
-        d.set("bypass_reuses", r.dbrb.bypassReuses);
-        d.set("dead_evictions", r.dbrb.deadEvictions);
-        d.set("bypasses", r.dbrb.bypasses);
-        v.set("dbrb", std::move(d));
-    }
-    v.set("faults_injected", r.faultsInjected);
-    v.set("wall_seconds", r.wallSeconds);
-    // Present only for interval-selected runs so plain sweep cells
-    // keep their established shape byte for byte.
-    if (r.intervalSelected) {
-        obs::JsonValue iv = obs::JsonValue::object();
-        iv.set("trace_instructions", r.traceInstructions);
-        iv.set("intervals_total", r.intervalsTotal);
-        iv.set("intervals_simulated", r.intervalsSimulated);
-        iv.set("simulated_instructions", r.simulatedInstructions);
-        v.set("interval", std::move(iv));
-    }
-    return v;
-}
-
-RunResult
-runResultFromJson(const obs::JsonValue &v)
-{
-    RunResult r;
-    r.benchmark = strField(v, "benchmark");
-    r.policy = strField(v, "policy");
-    r.instructions = u64Field(v, "instructions");
-    r.cycles = u64Field(v, "cycles");
-    r.ipc = numField(v, "ipc");
-    r.mpki = numField(v, "mpki");
-    r.llcAccesses = u64Field(v, "llc_accesses");
-    r.llcMisses = u64Field(v, "llc_misses");
-    r.llcBypasses = u64Field(v, "llc_bypasses");
-    r.llcEfficiency = numField(v, "llc_efficiency");
-    r.hasDbrb = boolField(v, "has_dbrb");
-    if (const obs::JsonValue *d = v.find("dbrb"); d && r.hasDbrb) {
-        r.dbrb.predictions = u64Field(*d, "predictions");
-        r.dbrb.positives = u64Field(*d, "positives");
-        r.dbrb.falsePositiveHits = u64Field(*d, "false_positive_hits");
-        r.dbrb.bypassReuses = u64Field(*d, "bypass_reuses");
-        r.dbrb.deadEvictions = u64Field(*d, "dead_evictions");
-        r.dbrb.bypasses = u64Field(*d, "bypasses");
-    }
-    r.faultsInjected = u64Field(v, "faults_injected");
-    r.wallSeconds = numField(v, "wall_seconds");
-    if (const obs::JsonValue *iv = v.find("interval")) {
-        r.intervalSelected = true;
-        r.traceInstructions = u64Field(*iv, "trace_instructions");
-        r.intervalsTotal = u64Field(*iv, "intervals_total");
-        r.intervalsSimulated = u64Field(*iv, "intervals_simulated");
-        r.simulatedInstructions =
-            u64Field(*iv, "simulated_instructions");
-    }
-    return r;
-}
-
-obs::JsonValue
-multicoreResultToJson(const MulticoreRunResult &r)
-{
-    obs::JsonValue v = obs::JsonValue::object();
-    v.set("mix", r.mix);
-    v.set("policy", r.policy);
-    v.set("benchmarks", stringArray(r.benchmarks));
-    obs::JsonValue ipc = obs::JsonValue::array();
-    for (const double d : r.ipc)
-        ipc.push(d);
-    v.set("ipc", std::move(ipc));
-    v.set("llc_misses", r.llcMisses);
-    v.set("total_instructions", std::uint64_t{r.totalInstructions});
-    v.set("mpki", r.mpki);
-    v.set("faults_injected", r.faultsInjected);
-    v.set("wall_seconds", r.wallSeconds);
-    return v;
-}
-
-MulticoreRunResult
-multicoreResultFromJson(const obs::JsonValue &v)
-{
-    MulticoreRunResult r;
-    r.mix = strField(v, "mix");
-    r.policy = strField(v, "policy");
-    if (const obs::JsonValue *b = v.find("benchmarks");
-        b && b->isArray())
-        for (std::size_t i = 0; i < b->size(); ++i)
-            r.benchmarks.push_back(b->at(i).asString());
-    if (const obs::JsonValue *ipc = v.find("ipc");
-        ipc && ipc->isArray())
-        for (std::size_t i = 0; i < ipc->size(); ++i)
-            r.ipc.push_back(ipc->at(i).asNumber());
-    r.llcMisses = u64Field(v, "llc_misses");
-    r.totalInstructions = u64Field(v, "total_instructions");
-    r.mpki = numField(v, "mpki");
-    r.faultsInjected = u64Field(v, "faults_injected");
-    r.wallSeconds = numField(v, "wall_seconds");
-    return r;
-}
-
-} // namespace sdbp::sweep
+} // namespace sweep
+} // namespace sdbp

@@ -6,15 +6,14 @@
  * with SDBP_RESUME=1 and only the failed or missing cells re-execute;
  * completed cells restore their metrics from the manifest.
  *
- * Schema v2 (DESIGN.md §16) extends the manifest into the
- * coordination substrate of multi-process sweeps: cells carry lease
- * records ({pid, generation, claimed_ms, heartbeat_ms} on the
- * system-wide monotonic clock) that worker subprocesses claim via
- * atomic tmp+rename under a flock(2)'d sidecar, plus structured
- * crash fields (crashed/signal/lease_generation) per failed cell and
- * an opaque RunConfig blob so a worker is self-contained.  Schema v1
- * manifests are still readable (same fingerprint guard); writes are
- * always v2.
+ * Schema v2 (DESIGN.md §16) makes the manifest the coordination
+ * substrate of multi-process sweeps: cells carry lease records ({pid,
+ * generation, claimed_ms, heartbeat_ms} on the system-wide monotonic
+ * clock) that worker subprocesses claim via atomic tmp+rename under a
+ * flock(2)'d sidecar, plus structured crash fields
+ * (crashed/signal/lease_generation) per failed cell and the sweep's
+ * RunConfig so a worker is self-contained.  Checkpoints are ephemeral:
+ * only the current schema is read.
  *
  * The manifest stores metrics only (the scalar RunResult payload).
  * In-memory artifacts — the LLC reference trace, per-frame
@@ -33,8 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hh"
-#include "sim/runner.hh"
+#include "obs/json_fields.hh"
+#include "sim/checkpoint.hh"
 
 namespace sdbp::sweep
 {
@@ -68,16 +67,79 @@ struct CellError
 
 enum class CellStatus { Pending, Leased, Completed, Failed, Skipped };
 
+/** A worker's live claim on a cell (monotonic-clock ms). */
+struct CellLease
+{
+    std::int64_t pid = 0;
+    std::uint64_t claimedMs = 0;
+    std::uint64_t heartbeatMs = 0;
+};
+
+/** One cell as the manifest records it. */
+struct CellRecord
+{
+    /** Row and column labels, so the file reads on its own. */
+    std::string run;
+    std::string policy;
+    CellStatus status = CellStatus::Pending;
+    /** Checkpointed result of a Completed cell. */
+    obs::JsonValue metrics;
+    /** Last failure (persisted for Failed cells). */
+    std::string error;
+    unsigned attempts = 0;
+    bool timedOut = false;
+    bool crashed = false;
+    int signal = 0;
+    /** Claims this cell has ever received (lease generation). */
+    std::uint64_t generation = 0;
+    /** Live lease (status == Leased only). */
+    CellLease lease;
+    /** Worker-side cell execution window (monotonic ms). */
+    std::uint64_t startedMs = 0;
+    std::uint64_t finishedMs = 0;
+    /** Pid that last ran the cell (telemetry; 0 = in-process). */
+    std::int64_t workerPid = 0;
+};
+
+/** What a resume must match: the grid's labels and budget. */
+struct SweepFingerprint
+{
+    /** Row labels: benchmarks or mix names. */
+    std::vector<std::string> runs;
+    /** Column labels: policy names. */
+    std::vector<std::string> policies;
+    InstCount warmup = 0;
+    InstCount measure = 0;
+
+    bool operator==(const SweepFingerprint &) const = default;
+};
+
+/** The whole manifest document. */
+struct ManifestFile
+{
+    std::uint64_t schema = 0;
+    /** "grid" (single-core rows) or "mix_grid" (multi-core mixes). */
+    std::string kind;
+    SweepFingerprint fingerprint;
+    /** Worker payload of a multi-process sweep: the RunConfig, and
+     *  each mix's benchmark list for mix grids. */
+    std::optional<RunConfig> config;
+    std::vector<MixProfile> mixes;
+    /** runs x policies cells, row-major. */
+    std::vector<CellRecord> cells;
+};
+
 /**
  * One sweep's checkpoint file.  All mutators are thread-safe (sweep
  * workers complete cells concurrently) and every mutation rewrites
  * the manifest via an atomic tmp+rename, so the on-disk file is a
  * well-formed JSON document at every instant — even across SIGKILL.
  *
- * With enableSharedAccess() the manifest additionally becomes safe
- * against concurrent *processes*: every mutator then re-reads the
- * file under an exclusive flock on "<path>.lock" before applying its
- * change, so coordinator and workers see one serialized history.
+ * Once shared with worker processes (shareWithWorkers, or the
+ * worker-side constructor) the manifest is also safe against
+ * concurrent *processes*: every mutator then re-reads the file under
+ * an exclusive flock on "<path>.lock" before applying its change, so
+ * coordinator and workers see one serialized history.
  */
 class SweepManifest
 {
@@ -92,25 +154,6 @@ class SweepManifest
         std::uint64_t generation = 0;
     };
 
-    /** Read-only view of one cell, for coordinator supervision. */
-    struct CellView
-    {
-        CellStatus status = CellStatus::Pending;
-        std::int64_t leasePid = 0;
-        std::uint64_t leaseGeneration = 0;
-        std::uint64_t claimedMs = 0;
-        std::uint64_t heartbeatMs = 0;
-        std::uint64_t startedMs = 0;
-        std::uint64_t finishedMs = 0;
-        unsigned attempts = 0;
-        bool timedOut = false;
-        bool crashed = false;
-        int signal = 0;
-        /** Pid that last ran the cell (telemetry; 0 = in-process). */
-        std::int64_t workerPid = 0;
-        std::string error;
-    };
-
     /**
      * Describe a grid about to run: @p kind is "grid" or "mix_grid",
      * @p runs the row labels (benchmarks or mix names), @p policies
@@ -123,11 +166,18 @@ class SweepManifest
                   InstCount warmup, InstCount measure);
 
     /**
+     * Worker side: attach to the file a coordinator shared, taking
+     * the sweep's description from it, with cross-process access on.
+     * An unreadable or malformed file is fatal().
+     */
+    explicit SweepManifest(std::string path);
+
+    /**
      * Restore completed cells from the file at path(), if present.
-     * A missing file is a fresh start (returns 0).  A malformed file
-     * or one whose fingerprint (kind, runs, policies, instruction
-     * budget) differs is fatal(): resuming a *different* sweep would
-     * silently mix experiments.  Accepts schema v1 and v2 files.
+     * A missing file is a fresh start (returns 0).  A malformed file,
+     * one of another schema version, or one whose fingerprint (kind,
+     * runs, policies, instruction budget) differs is fatal():
+     * resuming a *different* sweep would silently mix experiments.
      *
      * @return number of cells restored to Completed
      */
@@ -145,27 +195,33 @@ class SweepManifest
     void flush();
 
     const std::string &path() const { return path_; }
-    std::size_t cellCount() const { return cells_.size(); }
+
+    // The sweep description below is fixed once the manifest is
+    // shared, so these read it without the lock.
+    std::size_t cellCount() const { return file_.cells.size(); }
+    const std::string &kind() const { return file_.kind; }
+    const SweepFingerprint &fingerprint() const
+    {
+        return file_.fingerprint;
+    }
+    const std::optional<RunConfig> &config() const
+    {
+        return file_.config;
+    }
+    const std::vector<MixProfile> &mixes() const { return file_.mixes; }
 
     // ---- multi-process fabric (schema v2) -------------------------
 
     /**
-     * Opaque payloads a worker subprocess needs to be self-contained:
-     * the sweep's RunConfig as JSON, and — for mix grids — each mix's
-     * benchmark list.  Written at the manifest top level; neither is
-     * part of the resume fingerprint (the instruction budget and
-     * labels already pin the experiment).
-     */
-    void setConfig(obs::JsonValue config);
-    void setMixes(obs::JsonValue mixes);
-
-    /**
-     * Serialize every mutator against other *processes* through an
-     * exclusive flock on "<path>.lock": lock, re-read the file,
+     * Coordinator side: persist what a worker subprocess needs to run
+     * cells on its own (@p cfg and, for mix grids, @p mixes), then
+     * serialize every later mutator against other processes through
+     * an exclusive flock on "<path>.lock": lock, re-read the file,
      * apply, atomic-rewrite, unlock.  The in-process mutex still
      * guards against sibling threads.
      */
-    void enableSharedAccess();
+    void shareWithWorkers(const RunConfig &cfg,
+                          std::vector<MixProfile> mixes);
 
     /**
      * Claim the first claimable cell: Pending, or Leased with a
@@ -193,24 +249,23 @@ class SweepManifest
     /**
      * Fail a leased cell in-band (the worker caught the exception):
      * requeue as Pending while generation < max_attempts, else mark
-     * Failed with @p err.  Returns the resulting status.
+     * Failed with @p err.  No-op if (pid, gen) no longer owns it.
      */
-    CellStatus failClaimed(std::size_t index, const CellError &err,
-                           std::int64_t pid, std::uint64_t generation,
-                           unsigned max_attempts,
-                           std::uint64_t started_ms,
-                           std::uint64_t finished_ms);
+    void failClaimed(std::size_t index, const CellError &err,
+                     std::int64_t pid, std::uint64_t generation,
+                     unsigned max_attempts, std::uint64_t started_ms,
+                     std::uint64_t finished_ms);
 
     /**
      * Coordinator-side crash charge: the worker owning this cell
      * died (signal @p sig, or nonzero exit when sig == 0) without
      * reporting.  Same requeue-or-fail policy as failClaimed.  No-op
-     * (returns current status) unless @p pid still owns the lease.
+     * unless @p pid still owns the lease.
      */
-    CellStatus chargeCrash(std::size_t index, std::int64_t pid,
-                           const std::string &message, int sig,
-                           bool timed_out, unsigned max_attempts,
-                           std::uint64_t now_ms);
+    void chargeCrash(std::size_t index, std::int64_t pid,
+                     const std::string &message, int sig,
+                     bool timed_out, unsigned max_attempts,
+                     std::uint64_t now_ms);
 
     /**
      * Coordinator startup: clear leftover leases (their owners died
@@ -223,64 +278,106 @@ class SweepManifest
     /** Mark every Pending cell Skipped (coordinator shutdown). */
     void markSkippedPending();
 
-    /** Per-cell view of the current state (reloads from disk first
+    /** Per-cell copy of the current state (reloads from disk first
      *  in shared mode). */
-    std::vector<CellView> snapshotCells();
+    std::vector<CellRecord> snapshotCells();
 
   private:
-    struct Cell
-    {
-        CellStatus status = CellStatus::Pending;
-        obs::JsonValue metrics;
-        std::string error;
-        unsigned attempts = 0;
-        bool timedOut = false;
-        bool crashed = false;
-        int signal = 0;
-        /** Claims this cell has ever received (lease generation). */
-        std::uint64_t generation = 0;
-        /** Live lease (status == Leased only). */
-        std::int64_t leasePid = 0;
-        std::uint64_t claimedMs = 0;
-        std::uint64_t heartbeatMs = 0;
-        /** Worker-side cell execution window (monotonic ms). */
-        std::uint64_t startedMs = 0;
-        std::uint64_t finishedMs = 0;
-        /** Pid that last ran the cell (telemetry; 0 = in-process). */
-        std::int64_t workerPid = 0;
-    };
-
+    /** Run @p fn on the cells under the locks a mutation needs, then
+     *  persist the result. */
+    template <typename Fn>
+    void mutate(Fn &&fn);
     void flushLocked() const;
-    obs::JsonValue toJsonLocked() const;
     /** Shared mode: absorb the on-disk state before mutating. */
     void reloadLocked();
-    CellStatus requeueOrFailLocked(Cell &c, const CellError &err,
-                                   unsigned max_attempts);
 
     mutable std::mutex mutex_;
     std::string path_;
-    std::string kind_;
-    std::vector<std::string> runs_;
-    std::vector<std::string> policies_;
-    InstCount warmup_ = 0;
-    InstCount measure_ = 0;
-    std::vector<Cell> cells_;
-    obs::JsonValue config_;
-    obs::JsonValue mixes_;
+    ManifestFile file_;
     bool shared_ = false;
 };
 
-/**
- * Scalar (checkpointable) payload of a RunResult as JSON.  The
- * llcTrace / frameEfficiency / artifacts members are deliberately
- * omitted — see the file comment.
- */
-obs::JsonValue runResultToJson(const RunResult &r);
-RunResult runResultFromJson(const obs::JsonValue &v);
-
-obs::JsonValue multicoreResultToJson(const MulticoreRunResult &r);
-MulticoreRunResult multicoreResultFromJson(const obs::JsonValue &v);
-
 } // namespace sdbp::sweep
+
+namespace sdbp::obs
+{
+
+template <>
+struct JsonEnum<sweep::CellStatus>
+{
+    static const char *name(sweep::CellStatus s);
+    static std::optional<sweep::CellStatus> parse(const std::string &s);
+};
+
+template <>
+struct JsonFields<sweep::CellLease>
+{
+    template <typename S, typename V>
+    static void
+    visit(S &l, V &v)
+    {
+        v("pid", l.pid);
+        v("claimed_ms", l.claimedMs);
+        v("heartbeat_ms", l.heartbeatMs);
+    }
+};
+
+template <>
+struct JsonFields<sweep::CellRecord>
+{
+    template <typename S, typename V>
+    static void
+    visit(S &c, V &v)
+    {
+        using sweep::CellStatus;
+        const bool failed = c.status == CellStatus::Failed;
+        v("run", c.run);
+        v("policy", c.policy);
+        v("status", c.status);
+        v.when(c.status == CellStatus::Completed, "metrics", c.metrics);
+        v.when(failed, "error", c.error);
+        v.when(failed, "attempts", c.attempts);
+        v.when(failed, "timed_out", c.timedOut);
+        v.when(failed && c.crashed, "crashed", c.crashed);
+        v.when(failed && c.crashed, "signal", c.signal);
+        v.when(c.generation > 0, "lease_generation", c.generation);
+        v.when(c.status == CellStatus::Leased, "lease", c.lease);
+        v.when(c.startedMs > 0, "started_ms", c.startedMs);
+        v.when(c.finishedMs > 0, "finished_ms", c.finishedMs);
+        v.when(c.workerPid != 0, "worker_pid", c.workerPid);
+    }
+};
+
+template <>
+struct JsonFields<sweep::SweepFingerprint>
+{
+    template <typename S, typename V>
+    static void
+    visit(S &f, V &v)
+    {
+        v("runs", f.runs);
+        v("policies", f.policies);
+        v("warmup_instructions", f.warmup);
+        v("measure_instructions", f.measure);
+    }
+};
+
+template <>
+struct JsonFields<sweep::ManifestFile>
+{
+    template <typename S, typename V>
+    static void
+    visit(S &m, V &v)
+    {
+        v("schema", m.schema);
+        v("kind", m.kind);
+        v("fingerprint", m.fingerprint);
+        v("config", m.config);
+        v.when(!m.mixes.empty(), "mixes", m.mixes);
+        v("cells", m.cells);
+    }
+};
+
+} // namespace sdbp::obs
 
 #endif // SDBP_SIM_SWEEP_MANIFEST_HH

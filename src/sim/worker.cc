@@ -37,274 +37,7 @@ namespace
 std::atomic<bool> g_worker_capable{false};
 std::atomic<bool> g_in_worker{false};
 
-std::uint64_t
-u64Or(const obs::JsonValue &v, const std::string &key,
-      std::uint64_t fallback)
-{
-    const obs::JsonValue *f = v.find(key);
-    return f ? f->asUInt() : fallback;
-}
-
-bool
-boolOr(const obs::JsonValue &v, const std::string &key, bool fallback)
-{
-    const obs::JsonValue *f = v.find(key);
-    return f ? f->asBool() : fallback;
-}
-
-std::string
-strOr(const obs::JsonValue &v, const std::string &key,
-      const std::string &fallback = {})
-{
-    const obs::JsonValue *f = v.find(key);
-    return f ? f->asString() : fallback;
-}
-
-obs::JsonValue
-cacheToJson(const CacheConfig &c)
-{
-    obs::JsonValue v = obs::JsonValue::object();
-    v.set("name", c.name);
-    v.set("num_sets", std::uint64_t{c.numSets});
-    v.set("assoc", std::uint64_t{c.assoc});
-    v.set("latency", std::uint64_t{c.latency});
-    v.set("track_efficiency", c.trackEfficiency);
-    return v;
-}
-
-CacheConfig
-cacheFromJson(const obs::JsonValue &v, const CacheConfig &def)
-{
-    CacheConfig c = def;
-    c.name = strOr(v, "name", def.name);
-    c.numSets =
-        static_cast<std::uint32_t>(u64Or(v, "num_sets", def.numSets));
-    c.assoc = static_cast<std::uint32_t>(u64Or(v, "assoc", def.assoc));
-    c.latency = u64Or(v, "latency", def.latency);
-    c.trackEfficiency =
-        boolOr(v, "track_efficiency", def.trackEfficiency);
-    return c;
-}
-
 } // anonymous namespace
-
-obs::JsonValue
-runConfigToJson(const RunConfig &cfg)
-{
-    obs::JsonValue v = obs::JsonValue::object();
-    v.set("warmup_instructions", std::uint64_t{cfg.warmupInstructions});
-    v.set("measure_instructions",
-          std::uint64_t{cfg.measureInstructions});
-    v.set("record_llc_trace", cfg.recordLlcTrace);
-    v.set("track_efficiency", cfg.trackEfficiency);
-    v.set("force_virtual_path", cfg.forceVirtualPath);
-
-    obs::JsonValue h = obs::JsonValue::object();
-    h.set("l1", cacheToJson(cfg.hierarchy.l1));
-    h.set("l2", cacheToJson(cfg.hierarchy.l2));
-    h.set("llc", cacheToJson(cfg.hierarchy.llc));
-    h.set("mem_latency", std::uint64_t{cfg.hierarchy.memLatency});
-    h.set("mem_service_interval",
-          std::uint64_t{cfg.hierarchy.memServiceInterval});
-    h.set("num_cores", std::uint64_t{cfg.hierarchy.numCores});
-    obs::JsonValue pf = obs::JsonValue::object();
-    pf.set("degree", std::uint64_t{cfg.hierarchy.prefetch.degree});
-    pf.set("dead_block_directed",
-           cfg.hierarchy.prefetch.deadBlockDirected);
-    h.set("prefetch", std::move(pf));
-    v.set("hierarchy", std::move(h));
-
-    obs::JsonValue core = obs::JsonValue::object();
-    core.set("width", std::uint64_t{cfg.core.width});
-    core.set("rob_size", std::uint64_t{cfg.core.robSize});
-    core.set("pipeline_depth", std::uint64_t{cfg.core.pipelineDepth});
-    v.set("core", std::move(core));
-
-    obs::JsonValue pol = obs::JsonValue::object();
-    pol.set("num_threads", std::uint64_t{cfg.policy.numThreads});
-    pol.set("seed", cfg.policy.seed);
-    obs::JsonValue dbrb = obs::JsonValue::object();
-    dbrb.set("enable_bypass", cfg.policy.dbrb.enableBypass);
-    dbrb.set("enable_dead_replacement",
-             cfg.policy.dbrb.enableDeadReplacement);
-    dbrb.set("bypass_reuse_window", cfg.policy.dbrb.bypassReuseWindow);
-    obs::JsonValue flt = obs::JsonValue::object();
-    flt.set("faults_per_million",
-            cfg.policy.dbrb.fault.faultsPerMillion);
-    flt.set("seed", cfg.policy.dbrb.fault.seed);
-    dbrb.set("fault", std::move(flt));
-    pol.set("dbrb", std::move(dbrb));
-    if (cfg.policy.sdbp) {
-        const SdbpConfig &s = *cfg.policy.sdbp;
-        obs::JsonValue sd = obs::JsonValue::object();
-        sd.set("signature_bits", std::uint64_t{s.signatureBits});
-        sd.set("llc_sets", std::uint64_t{s.llcSets});
-        sd.set("use_sampler", s.useSampler);
-        obs::JsonValue sam = obs::JsonValue::object();
-        sam.set("num_sets", std::uint64_t{s.sampler.numSets});
-        sam.set("assoc", std::uint64_t{s.sampler.assoc});
-        sam.set("tag_bits", std::uint64_t{s.sampler.tagBits});
-        sam.set("pc_bits", std::uint64_t{s.sampler.pcBits});
-        sam.set("learn_from_own_evictions",
-                s.sampler.learnFromOwnEvictions);
-        sd.set("sampler", std::move(sam));
-        obs::JsonValue tab = obs::JsonValue::object();
-        tab.set("num_tables", std::uint64_t{s.table.numTables});
-        tab.set("index_bits", std::uint64_t{s.table.indexBits});
-        tab.set("counter_bits", std::uint64_t{s.table.counterBits});
-        tab.set("threshold", std::uint64_t{s.table.threshold});
-        sd.set("table", std::move(tab));
-        pol.set("sdbp", std::move(sd));
-    }
-    v.set("policy", std::move(pol));
-
-    // Emitted only when non-default so manifests of synthetic-only
-    // sweeps keep their established shape byte for byte.
-    if (cfg.trace != TraceSpec{}) {
-        obs::JsonValue tr = obs::JsonValue::object();
-        tr.set("kind", traceKindName(cfg.trace.kind));
-        tr.set("path", cfg.trace.path);
-        tr.set("interval_instructions",
-               cfg.trace.intervalInstructions);
-        tr.set("select_clusters",
-               std::uint64_t{cfg.trace.selectClusters});
-        v.set("trace", std::move(tr));
-    }
-
-    obs::JsonValue ob = obs::JsonValue::object();
-    ob.set("collect", cfg.obs.collect);
-    ob.set("interval_instructions", cfg.obs.intervalInstructions);
-    ob.set("stats_json_path", cfg.obs.statsJsonPath);
-    ob.set("timeline_csv_path", cfg.obs.timelineCsvPath);
-    ob.set("trace_jsonl_path", cfg.obs.traceJsonlPath);
-    ob.set("trace_capacity", std::uint64_t{cfg.obs.traceCapacity});
-    v.set("obs", std::move(ob));
-    return v;
-}
-
-RunConfig
-runConfigFromJson(const obs::JsonValue &v)
-{
-    RunConfig cfg; // field defaults; every absent key keeps them
-    cfg.warmupInstructions =
-        u64Or(v, "warmup_instructions", cfg.warmupInstructions);
-    cfg.measureInstructions =
-        u64Or(v, "measure_instructions", cfg.measureInstructions);
-    cfg.recordLlcTrace =
-        boolOr(v, "record_llc_trace", cfg.recordLlcTrace);
-    cfg.trackEfficiency =
-        boolOr(v, "track_efficiency", cfg.trackEfficiency);
-    cfg.forceVirtualPath =
-        boolOr(v, "force_virtual_path", cfg.forceVirtualPath);
-
-    if (const obs::JsonValue *h = v.find("hierarchy")) {
-        if (const obs::JsonValue *c = h->find("l1"))
-            cfg.hierarchy.l1 = cacheFromJson(*c, cfg.hierarchy.l1);
-        if (const obs::JsonValue *c = h->find("l2"))
-            cfg.hierarchy.l2 = cacheFromJson(*c, cfg.hierarchy.l2);
-        if (const obs::JsonValue *c = h->find("llc"))
-            cfg.hierarchy.llc = cacheFromJson(*c, cfg.hierarchy.llc);
-        cfg.hierarchy.memLatency =
-            u64Or(*h, "mem_latency", cfg.hierarchy.memLatency);
-        cfg.hierarchy.memServiceInterval = u64Or(
-            *h, "mem_service_interval",
-            cfg.hierarchy.memServiceInterval);
-        cfg.hierarchy.numCores = static_cast<std::uint32_t>(
-            u64Or(*h, "num_cores", cfg.hierarchy.numCores));
-        if (const obs::JsonValue *pf = h->find("prefetch")) {
-            cfg.hierarchy.prefetch.degree =
-                static_cast<unsigned>(u64Or(
-                    *pf, "degree", cfg.hierarchy.prefetch.degree));
-            cfg.hierarchy.prefetch.deadBlockDirected =
-                boolOr(*pf, "dead_block_directed",
-                       cfg.hierarchy.prefetch.deadBlockDirected);
-        }
-    }
-    if (const obs::JsonValue *c = v.find("core")) {
-        cfg.core.width = static_cast<unsigned>(
-            u64Or(*c, "width", cfg.core.width));
-        cfg.core.robSize = static_cast<unsigned>(
-            u64Or(*c, "rob_size", cfg.core.robSize));
-        cfg.core.pipelineDepth = static_cast<unsigned>(
-            u64Or(*c, "pipeline_depth", cfg.core.pipelineDepth));
-    }
-    if (const obs::JsonValue *p = v.find("policy")) {
-        cfg.policy.numThreads = static_cast<std::uint32_t>(
-            u64Or(*p, "num_threads", cfg.policy.numThreads));
-        cfg.policy.seed = u64Or(*p, "seed", cfg.policy.seed);
-        if (const obs::JsonValue *d = p->find("dbrb")) {
-            cfg.policy.dbrb.enableBypass = boolOr(
-                *d, "enable_bypass", cfg.policy.dbrb.enableBypass);
-            cfg.policy.dbrb.enableDeadReplacement =
-                boolOr(*d, "enable_dead_replacement",
-                       cfg.policy.dbrb.enableDeadReplacement);
-            cfg.policy.dbrb.bypassReuseWindow =
-                u64Or(*d, "bypass_reuse_window",
-                      cfg.policy.dbrb.bypassReuseWindow);
-            if (const obs::JsonValue *f = d->find("fault")) {
-                cfg.policy.dbrb.fault.faultsPerMillion =
-                    u64Or(*f, "faults_per_million",
-                          cfg.policy.dbrb.fault.faultsPerMillion);
-                cfg.policy.dbrb.fault.seed =
-                    u64Or(*f, "seed", cfg.policy.dbrb.fault.seed);
-            }
-        }
-        if (const obs::JsonValue *s = p->find("sdbp")) {
-            SdbpConfig sd;
-            sd.signatureBits = static_cast<unsigned>(
-                u64Or(*s, "signature_bits", sd.signatureBits));
-            sd.llcSets = static_cast<std::uint32_t>(
-                u64Or(*s, "llc_sets", sd.llcSets));
-            sd.useSampler = boolOr(*s, "use_sampler", sd.useSampler);
-            if (const obs::JsonValue *sam = s->find("sampler")) {
-                sd.sampler.numSets = static_cast<std::uint32_t>(
-                    u64Or(*sam, "num_sets", sd.sampler.numSets));
-                sd.sampler.assoc = static_cast<std::uint32_t>(
-                    u64Or(*sam, "assoc", sd.sampler.assoc));
-                sd.sampler.tagBits = static_cast<unsigned>(
-                    u64Or(*sam, "tag_bits", sd.sampler.tagBits));
-                sd.sampler.pcBits = static_cast<unsigned>(
-                    u64Or(*sam, "pc_bits", sd.sampler.pcBits));
-                sd.sampler.learnFromOwnEvictions =
-                    boolOr(*sam, "learn_from_own_evictions",
-                           sd.sampler.learnFromOwnEvictions);
-            }
-            if (const obs::JsonValue *tab = s->find("table")) {
-                sd.table.numTables = static_cast<unsigned>(
-                    u64Or(*tab, "num_tables", sd.table.numTables));
-                sd.table.indexBits = static_cast<unsigned>(
-                    u64Or(*tab, "index_bits", sd.table.indexBits));
-                sd.table.counterBits = static_cast<unsigned>(
-                    u64Or(*tab, "counter_bits", sd.table.counterBits));
-                sd.table.threshold = static_cast<unsigned>(
-                    u64Or(*tab, "threshold", sd.table.threshold));
-            }
-            cfg.policy.sdbp = sd;
-        }
-    }
-    if (const obs::JsonValue *t = v.find("trace")) {
-        if (const auto kind = parseTraceKind(strOr(*t, "kind")))
-            cfg.trace.kind = *kind;
-        cfg.trace.path = strOr(*t, "path");
-        cfg.trace.intervalInstructions =
-            u64Or(*t, "interval_instructions",
-                  cfg.trace.intervalInstructions);
-        cfg.trace.selectClusters = static_cast<unsigned>(
-            u64Or(*t, "select_clusters", cfg.trace.selectClusters));
-    }
-    if (const obs::JsonValue *o = v.find("obs")) {
-        cfg.obs.collect = boolOr(*o, "collect", cfg.obs.collect);
-        cfg.obs.intervalInstructions =
-            u64Or(*o, "interval_instructions",
-                  cfg.obs.intervalInstructions);
-        cfg.obs.statsJsonPath = strOr(*o, "stats_json_path");
-        cfg.obs.timelineCsvPath = strOr(*o, "timeline_csv_path");
-        cfg.obs.traceJsonlPath = strOr(*o, "trace_jsonl_path");
-        cfg.obs.traceCapacity = static_cast<std::size_t>(
-            u64Or(*o, "trace_capacity", cfg.obs.traceCapacity));
-    }
-    return cfg;
-}
 
 bool
 workerCapable()
@@ -484,20 +217,10 @@ class HeartbeatThread
     std::thread thread_;
 };
 
-std::vector<std::string>
-jsonStringArray(const obs::JsonValue *arr)
-{
-    std::vector<std::string> out;
-    if (arr && arr->isArray())
-        for (std::size_t i = 0; i < arr->size(); ++i)
-            out.push_back(arr->at(i).asString());
-    return out;
-}
-
 /**
- * The worker protocol: bootstrap the sweep description from the
- * manifest file, then claim-run-report until no claimable cell
- * remains.  Exits the process; never returns to main().
+ * The worker protocol: attach to the coordinator's manifest, then
+ * claim-run-report until no claimable cell remains.  Exits the
+ * process; never returns to main().
  */
 [[noreturn]] void
 workerMain(const std::string &manifest_path)
@@ -505,67 +228,24 @@ workerMain(const std::string &manifest_path)
     g_in_worker.store(true, std::memory_order_relaxed);
     installShutdownHandler();
 
-    bool ok = false;
-    const std::string text = util::readFile(manifest_path, &ok);
-    if (!ok)
-        fatal("worker cannot read sweep manifest " + manifest_path);
-    std::string perr;
-    const auto doc = obs::JsonValue::parse(text, &perr);
-    if (!doc)
-        fatal("worker manifest " + manifest_path +
-              " is not valid JSON (" + perr + ")");
-    const std::string kind = strOr(*doc, "kind");
-    const obs::JsonValue *fp = doc->find("fingerprint");
-    if (!fp || (kind != "grid" && kind != "mix_grid"))
-        fatal("worker manifest " + manifest_path +
-              " lacks a sweep fingerprint");
-    const std::vector<std::string> runs =
-        jsonStringArray(fp->find("runs"));
-    const std::vector<std::string> policy_names =
-        jsonStringArray(fp->find("policies"));
-    if (runs.empty() || policy_names.empty())
-        fatal("worker manifest " + manifest_path +
-              " has an empty grid");
-    const obs::JsonValue *config = doc->find("config");
-    if (!config)
-        fatal("worker manifest " + manifest_path +
-              " carries no worker config — was this sweep started "
-              "by a multi-process coordinator?");
-    const RunConfig cfg = runConfigFromJson(*config);
+    SweepManifest manifest(manifest_path);
+    const SweepFingerprint &fp = manifest.fingerprint();
+    const std::string where = "worker manifest " + manifest_path;
+    if (manifest.kind() != "grid" && manifest.kind() != "mix_grid")
+        fatal(where + " lacks a sweep fingerprint");
+    if (fp.runs.empty() || fp.policies.empty() ||
+        manifest.cellCount() != fp.runs.size() * fp.policies.size())
+        fatal(where + " has an empty or inconsistent grid");
+    if (!manifest.config())
+        fatal(where + " carries no worker config — was this sweep "
+                      "started by a multi-process coordinator?");
+    for (const std::string &name : fp.policies)
+        if (!parsePolicyKind(name))
+            fatal(where + " names an unknown policy '" + name + "'");
+    if (manifest.kind() == "mix_grid" &&
+        manifest.mixes().size() != fp.runs.size())
+        fatal(where + " lacks the mix benchmark lists");
 
-    std::vector<PolicyKind> kinds;
-    kinds.reserve(policy_names.size());
-    for (const std::string &name : policy_names) {
-        const auto parsed = parsePolicyKind(name);
-        if (!parsed)
-            fatal("worker manifest " + manifest_path +
-                  " names an unknown policy '" + name + "'");
-        kinds.push_back(*parsed);
-    }
-
-    std::vector<MixProfile> mixes;
-    if (kind == "mix_grid") {
-        const obs::JsonValue *jm = doc->find("mixes");
-        if (!jm || !jm->isArray() || jm->size() != runs.size())
-            fatal("worker manifest " + manifest_path +
-                  " lacks the mix benchmark lists");
-        for (std::size_t i = 0; i < jm->size(); ++i) {
-            MixProfile mix;
-            mix.name = strOr(jm->at(i), "name", runs[i]);
-            mix.benchmarks =
-                jsonStringArray(jm->at(i).find("benchmarks"));
-            mixes.push_back(std::move(mix));
-        }
-    }
-
-    SweepManifest manifest(
-        manifest_path, kind, runs, policy_names,
-        u64Or(*fp, "warmup_instructions", 0),
-        u64Or(*fp, "measure_instructions", 0));
-    manifest.enableSharedAccess();
-
-    const std::size_t cols = policy_names.size();
-    const bool multi = runs.size() * cols > 1;
     const unsigned max_attempts = defaultRetries() + 1;
     const std::uint64_t ttl = leaseTtlMs();
     const ChaosSpec chaos = chaosSpec();
@@ -581,8 +261,6 @@ workerMain(const std::string &manifest_path)
             if (!claim)
                 break; // nothing claimable: drain and exit clean
             const std::size_t i = claim->index;
-            const std::string &run = runs[i / cols];
-            const std::string &pol = policy_names[i % cols];
             heartbeat.watch(i, claim->generation);
             if (chaos.enabled && chaos.index == i)
                 chaosCrash(chaos.mode);
@@ -590,41 +268,14 @@ workerMain(const std::string &manifest_path)
             const std::uint64_t started = util::monotonicMs();
             CellError err;
             err.index = i;
-            err.run = run;
-            err.policy = pol;
             err.attempts = static_cast<unsigned>(claim->generation);
             err.leaseGeneration = claim->generation;
-            bool cell_ok = false;
-            obs::JsonValue metrics;
-            try {
-                // The in-process soft-failure hook works here too.
-                if (const std::string f = env::str("SDBP_TEST_FAIL_CELL");
-                    !f.empty() && run + "/" + pol == f)
-                    throw std::runtime_error(
-                        "SDBP_TEST_FAIL_CELL forced failure");
-                if (kind == "grid")
-                    metrics = runResultToJson(
-                        runSingleCore(run, kinds[i % cols],
-                                      cellConfig(cfg, multi, run, pol)));
-                else
-                    metrics = multicoreResultToJson(
-                        runMulticore(mixes[i / cols], kinds[i % cols],
-                                     cellConfig(cfg, multi, run, pol)));
-                cell_ok = true;
-            } catch (const SimulationTimeout &e) {
-                err.timedOut = true;
-                err.message = e.what();
-            } catch (const std::exception &e) {
-                err.message = e.what();
-            } catch (...) {
-                err.message = "unknown exception";
-            }
-            if (cell_ok) {
+            if (auto metrics = runManifestCell(manifest, i, err)) {
                 manifest.completeClaimed(i, pid, claim->generation,
-                                         std::move(metrics), started,
+                                         std::move(*metrics), started,
                                          util::monotonicMs());
             } else {
-                warn("worker cell " + run + "/" + pol +
+                warn("worker cell " + err.run + "/" + err.policy +
                      " failed (attempt " +
                      std::to_string(claim->generation) + "/" +
                      std::to_string(max_attempts) + "): " + err.message);
@@ -743,10 +394,8 @@ describeDeath(int status, bool hard_timeout)
 } // anonymous namespace
 
 FabricResult
-superviseWorkers(SweepManifest &manifest,
-                 const std::vector<std::string> &runs,
-                 const std::vector<std::string> &policies,
-                 unsigned workers, unsigned retries,
+superviseWorkers(SweepManifest &manifest, unsigned workers,
+                 unsigned retries,
                  const std::function<void(bool)> &on_cell_done)
 {
     FabricResult out;
@@ -758,7 +407,6 @@ superviseWorkers(SweepManifest &manifest,
         return out;
     }
 
-    const std::size_t cols = policies.size();
     const unsigned max_attempts = retries + 1;
     const std::uint64_t timeout_s = env::u64("SDBP_CELL_TIMEOUT", 0);
     // Hard tier: cooperative deadline first, then SIGKILL after a
@@ -839,7 +487,7 @@ superviseWorkers(SweepManifest &manifest,
                 views = manifest.snapshotCells();
                 for (std::size_t i = 0; i < views.size(); ++i)
                     if (views[i].status == CellStatus::Leased &&
-                        views[i].leasePid == p)
+                        views[i].lease.pid == p)
                         manifest.chargeCrash(i, p, msg, sig, hard,
                                              max_attempts,
                                              util::monotonicMs());
@@ -877,7 +525,7 @@ superviseWorkers(SweepManifest &manifest,
             // (e.g. waitpid errored); charge it now so the cell is
             // re-farmed instead of wedging the sweep.
             if (v.status == CellStatus::Leased) {
-                const pid_t owner = static_cast<pid_t>(v.leasePid);
+                const pid_t owner = static_cast<pid_t>(v.lease.pid);
                 const bool owner_alive = std::any_of(
                     alive.begin(), alive.end(),
                     [owner](const WorkerProc &wp) {
@@ -892,16 +540,16 @@ superviseWorkers(SweepManifest &manifest,
             // Hard-timeout tier: SIGKILL the worker whose leased
             // cell outlived the cooperative deadline plus grace.
             if (hard_ms > 0 && v.status == CellStatus::Leased &&
-                now > v.claimedMs && now - v.claimedMs > hard_ms) {
-                const pid_t owner = static_cast<pid_t>(v.leasePid);
+                now > v.lease.claimedMs &&
+                now - v.lease.claimedMs > hard_ms) {
+                const pid_t owner = static_cast<pid_t>(v.lease.pid);
                 const bool ours = std::any_of(
                     alive.begin(), alive.end(),
                     [owner](const WorkerProc &wp) {
                         return wp.pid == owner;
                     });
                 if (ours && !killed_for_timeout.count(owner)) {
-                    warn("cell " + runs[i / cols] + "/" +
-                         policies[i % cols] +
+                    warn("cell " + v.run + "/" + v.policy +
                          " exceeded the hard timeout; killing "
                          "worker pid " + std::to_string(owner));
                     killed_for_timeout.insert(owner);
@@ -939,14 +587,14 @@ superviseWorkers(SweepManifest &manifest,
             continue;
         CellError err;
         err.index = i;
-        err.run = runs[i / cols];
-        err.policy = policies[i % cols];
+        err.run = v.run;
+        err.policy = v.policy;
         err.message = v.error;
         err.attempts = v.attempts;
         err.timedOut = v.timedOut;
         err.crashed = v.crashed;
         err.signal = v.signal;
-        err.leaseGeneration = v.leaseGeneration;
+        err.leaseGeneration = v.generation;
         out.errors.push_back(std::move(err));
     }
 
@@ -961,12 +609,12 @@ superviseWorkers(SweepManifest &manifest,
                 continue;
             obs::SpanRecord rec;
             rec.category = "cell";
-            rec.name = runs[i / cols] + "/" + policies[i % cols];
+            rec.name = v.run + "/" + v.policy;
             rec.attempts = v.attempts;
             rec.failed = v.status == CellStatus::Failed;
             rec.timedOut = v.timedOut;
             rec.workerPid = static_cast<std::uint32_t>(v.workerPid);
-            rec.leaseGeneration = v.leaseGeneration;
+            rec.leaseGeneration = v.generation;
             using namespace std::chrono;
             const auto toTp = [](std::uint64_t ms) {
                 return steady_clock::time_point(
@@ -989,8 +637,7 @@ maybeWorkerMain(int, char **)
 }
 
 FabricResult
-superviseWorkers(SweepManifest &, const std::vector<std::string> &,
-                 const std::vector<std::string> &, unsigned, unsigned,
+superviseWorkers(SweepManifest &, unsigned, unsigned,
                  const std::function<void(bool)> &)
 {
     warn("multi-process sweeps are unsupported on this platform; "

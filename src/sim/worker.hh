@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hh"
 #include "sim/runner.hh"
 #include "sim/sweep_manifest.hh"
 
@@ -78,11 +77,6 @@ struct ChaosSpec
 };
 ChaosSpec chaosSpec();
 
-/** Scalar round-trip of a RunConfig so workers are self-contained
- *  (the blob travels in the manifest's top-level "config" field). */
-obs::JsonValue runConfigToJson(const RunConfig &cfg);
-RunConfig runConfigFromJson(const obs::JsonValue &v);
-
 /** Outcome of one coordinator supervision run. */
 struct FabricResult
 {
@@ -97,16 +91,14 @@ struct FabricResult
 
 /**
  * Coordinator: spawn up to @p workers subprocesses of this binary
- * against @p manifest (which must have shared access enabled and a
- * flushed on-disk state), supervise them with waitpid, and return
- * once every cell is terminal.  @p on_cell_done fires once per cell
- * reaching a terminal state (argument: failed), for progress
- * accounting.  @p runs / @p policies label errors.
+ * against @p manifest (which must already be shared with workers),
+ * supervise them with waitpid, and return once every cell is
+ * terminal.  @p on_cell_done fires once per cell reaching a terminal
+ * state (argument: failed), for progress accounting.
  */
 FabricResult superviseWorkers(
-    SweepManifest &manifest, const std::vector<std::string> &runs,
-    const std::vector<std::string> &policies, unsigned workers,
-    unsigned retries, const std::function<void(bool)> &on_cell_done);
+    SweepManifest &manifest, unsigned workers, unsigned retries,
+    const std::function<void(bool)> &on_cell_done);
 
 } // namespace sdbp::sweep
 

@@ -4,13 +4,16 @@
  * isolation (CellError + retries, remaining cells still run), the
  * checkpoint manifest (atomic writes, resume of completed cells,
  * fingerprint safety), graceful-shutdown skipping, and the JSON
- * round-trip of checkpointed results.
+ * round-trip of every checkpointed struct's field list.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <set>
+#include <type_traits>
 
 #include "obs/json.hh"
 #include "sim/runner.hh"
@@ -106,8 +109,7 @@ TEST(SweepManifestTest, RunResultJsonRoundTrip)
     r.faultsInjected = 17;
     r.wallSeconds = 1.25;
 
-    const RunResult back =
-        sweep::runResultFromJson(sweep::runResultToJson(r));
+    const RunResult back = obs::fromJson<RunResult>(obs::toJson(r));
     EXPECT_EQ(back.benchmark, r.benchmark);
     EXPECT_EQ(back.policy, r.policy);
     EXPECT_EQ(back.instructions, r.instructions);
@@ -141,8 +143,7 @@ TEST(SweepManifestTest, IntervalResultJsonRoundTrip)
     r.intervalsSimulated = 3;
     r.simulatedInstructions = 375'000;
 
-    const RunResult back =
-        sweep::runResultFromJson(sweep::runResultToJson(r));
+    const RunResult back = obs::fromJson<RunResult>(obs::toJson(r));
     EXPECT_TRUE(back.intervalSelected);
     EXPECT_EQ(back.traceInstructions, r.traceInstructions);
     EXPECT_EQ(back.intervalsTotal, r.intervalsTotal);
@@ -155,9 +156,9 @@ TEST(SweepManifestTest, TraceSpecJsonRoundTrip)
     // Default (synthetic) specs must not emit a "trace" block at all
     // so established manifests keep their shape.
     RunConfig plain;
-    EXPECT_EQ(sweep::runConfigToJson(plain).find("trace"), nullptr);
+    EXPECT_EQ(obs::toJson(plain).find("trace"), nullptr);
     const RunConfig plain_back =
-        sweep::runConfigFromJson(sweep::runConfigToJson(plain));
+        obs::fromJson<RunConfig>(obs::toJson(plain));
     EXPECT_TRUE(plain_back.trace == TraceSpec{});
 
     RunConfig cfg;
@@ -165,8 +166,7 @@ TEST(SweepManifestTest, TraceSpecJsonRoundTrip)
     cfg.trace.path = "/tmp/some.trace.xz";
     cfg.trace.intervalInstructions = 125'000;
     cfg.trace.selectClusters = 3;
-    const RunConfig back =
-        sweep::runConfigFromJson(sweep::runConfigToJson(cfg));
+    const RunConfig back = obs::fromJson<RunConfig>(obs::toJson(cfg));
     EXPECT_TRUE(back.trace == cfg.trace);
     EXPECT_TRUE(back.trace.selectionEnabled());
 }
@@ -184,8 +184,8 @@ TEST(SweepManifestTest, MulticoreResultJsonRoundTrip)
     r.faultsInjected = 3;
     r.wallSeconds = 2.5;
 
-    const MulticoreRunResult back = sweep::multicoreResultFromJson(
-        sweep::multicoreResultToJson(r));
+    const MulticoreRunResult back =
+        obs::fromJson<MulticoreRunResult>(obs::toJson(r));
     EXPECT_EQ(back.mix, r.mix);
     EXPECT_EQ(back.policy, r.policy);
     EXPECT_EQ(back.benchmarks, r.benchmarks);
@@ -195,6 +195,120 @@ TEST(SweepManifestTest, MulticoreResultJsonRoundTrip)
     EXPECT_EQ(back.mpki, r.mpki);
     EXPECT_EQ(back.faultsInjected, r.faultsInjected);
     EXPECT_EQ(back.wallSeconds, r.wallSeconds);
+}
+
+/**
+ * Field-list visitor that gives every listed field a distinct
+ * non-default value and records its key, so a round trip that drops
+ * a field, or reads it under another key, shows up.
+ */
+class Perturb
+{
+  public:
+    template <typename T>
+    void
+    operator()(const char *key, T &member)
+    {
+        keys.insert(key);
+        set(member);
+    }
+
+    template <typename T>
+    void
+    when(bool, const char *key, T &member)
+    {
+        (*this)(key, member);
+    }
+
+    template <typename Fn>
+    void
+    group(const char *key, bool &present, Fn &&fn)
+    {
+        keys.insert(key);
+        present = true;
+        fn(*this);
+    }
+
+    /** Perturb every listed field of @p m. */
+    template <typename T>
+    void
+    set(T &m)
+    {
+        ++n_;
+        if constexpr (std::is_same_v<T, bool>)
+            m = !m;
+        else if constexpr (std::is_enum_v<T>)
+            m = static_cast<T>(static_cast<int>(m) + 1);
+        else if constexpr (std::is_integral_v<T>)
+            m = static_cast<T>(1000 + n_);
+        else if constexpr (std::is_floating_point_v<T>)
+            m = static_cast<double>(n_) + 0.25;
+        else if constexpr (std::is_same_v<T, std::string>)
+            m = "s" + std::to_string(n_);
+        else if constexpr (std::is_same_v<T, obs::JsonValue>)
+            m = obs::JsonValue(std::uint64_t{n_});
+        else if constexpr (obs::detail::kIsVector<T>) {
+            m.resize(2);
+            for (auto &item : m)
+                set(item);
+        } else if constexpr (obs::detail::kIsOptional<T>) {
+            m.emplace();
+            set(*m);
+        } else {
+            obs::JsonFields<T>::visit(m, *this);
+        }
+    }
+
+    std::set<std::string> keys;
+
+  private:
+    std::uint64_t n_ = 0;
+};
+
+/** Every object key anywhere in @p v. */
+void
+collectKeys(const obs::JsonValue &v, std::set<std::string> &out)
+{
+    if (v.isArray())
+        for (std::size_t i = 0; i < v.size(); ++i)
+            collectKeys(v.at(i), out);
+    for (const auto &[key, value] : v.members()) {
+        out.insert(key);
+        collectKeys(value, out);
+    }
+}
+
+/** Perturb @p value, then require that every listed key is written
+ *  and that the JSON reads back to the same JSON. */
+template <typename T>
+void
+expectFieldListRoundTrips(T value, const std::function<void(T &)> &fix)
+{
+    Perturb perturb;
+    perturb.set(value);
+    fix(value);
+    const obs::JsonValue json = obs::toJson(value);
+    std::set<std::string> written;
+    collectKeys(json, written);
+    EXPECT_EQ(written, perturb.keys);
+    EXPECT_EQ(obs::toJson(obs::fromJson<T>(json)).dump(), json.dump());
+}
+
+TEST(SweepManifestTest, EveryListedFieldRoundTrips)
+{
+    const auto keep = [](auto &) {};
+    expectFieldListRoundTrips<RunConfig>({}, keep);
+    expectFieldListRoundTrips<RunResult>({}, keep);
+    expectFieldListRoundTrips<MulticoreRunResult>({}, keep);
+    // The manifest's cell fields depend on the status: cover each
+    // status whose fields are conditional.
+    expectFieldListRoundTrips<sweep::ManifestFile>(
+        {}, [](sweep::ManifestFile &m) {
+            m.cells.push_back(m.cells[1]);
+            m.cells[0].status = sweep::CellStatus::Completed;
+            m.cells[1].status = sweep::CellStatus::Failed;
+            m.cells[2].status = sweep::CellStatus::Leased;
+        });
 }
 
 TEST(SweepManifestTest, MarkReloadRoundTrip)
@@ -219,8 +333,8 @@ TEST(SweepManifestTest, MarkReloadRoundTrip)
     EXPECT_EQ(reloaded.loadCompleted(), 1u);
     EXPECT_TRUE(reloaded.isCompleted(0));
     EXPECT_FALSE(reloaded.isCompleted(1));
-    const obs::JsonValue *mpki =
-        reloaded.completedMetrics(0).find("mpki");
+    const obs::JsonValue metrics = reloaded.completedMetrics(0);
+    const obs::JsonValue *mpki = metrics.find("mpki");
     ASSERT_NE(mpki, nullptr);
     EXPECT_EQ(mpki->asNumber(), 3.5);
 
@@ -450,6 +564,23 @@ TEST(SweepResilience, ShutdownSkipsQueuedCells)
     EXPECT_EQ(resumed.resumed, 0u);
     EXPECT_GT(resumed.at(0, 0).cycles, 0u);
     std::remove(path.c_str());
+}
+
+TEST(SweepResilience, SkippedCellsKeepTheirLabels)
+{
+    // Like a failed cell, a skipped one holds a labelled placeholder.
+    const MixProfile &mix = multicoreMixes().front();
+    sweep::requestShutdown();
+    sweep::SweepOptions opts;
+    opts.jobs = 1;
+    const sweep::MixGrid grid = sweep::runMixGrid(
+        {mix}, {PolicyKind::Lru}, RunConfig::quadCore(), opts);
+    sweep::resetShutdown();
+
+    EXPECT_EQ(grid.skipped, 1u);
+    EXPECT_EQ(grid.at(0, 0).mix, mix.name);
+    EXPECT_EQ(grid.at(0, 0).policy, policyName(PolicyKind::Lru));
+    EXPECT_EQ(grid.at(0, 0).totalInstructions, 0u);
 }
 
 TEST(SweepResilience, MixGridIsolatesFailures)

@@ -439,66 +439,53 @@ summarizeManifest(const std::string &path)
                   << " is not a sweep manifest (no cells array)\n";
         return 2;
     }
+    const auto file = obs::fromJson<sweep::ManifestFile>(*doc);
 
-    auto u64 = [](const obs::JsonValue &v, const char *key) {
-        const obs::JsonValue *f = v.find(key);
-        return f ? f->asUInt() : std::uint64_t{0};
-    };
-    auto str = [](const obs::JsonValue &v, const char *key) {
-        const obs::JsonValue *f = v.find(key);
-        return f ? f->asString() : std::string();
-    };
+    std::cout << "Sweep manifest " << path << " (schema v" << file.schema
+              << ", kind " << file.kind << "): " << file.cells.size()
+              << " cell(s)\n\n";
 
-    std::uint64_t schema = u64(*doc, "schema");
-    std::cout << "Sweep manifest " << path << " (schema v" << schema
-              << ", kind " << str(*doc, "kind") << "): "
-              << cells->size() << " cell(s)\n\n";
-
+    using sweep::CellStatus;
     const std::uint64_t now_ms = util::monotonicMs();
     std::size_t completed = 0, failed = 0, leased = 0, pending = 0,
                 skipped = 0, crashed = 0;
     TextTable t({"Cell", "Status", "Att", "Pid", "Gen", "Hb age",
                  "Detail"});
-    for (std::size_t i = 0; i < cells->size(); ++i) {
-        const obs::JsonValue &c = cells->at(i);
-        const std::string status = str(c, "status");
-        const obs::JsonValue *lease = c.find("lease");
+    for (const sweep::CellRecord &c : file.cells) {
         std::string pid = "-", hb_age = "-";
-        if (lease) {
+        if (c.status == CellStatus::Leased) {
             ++leased;
-            pid = std::to_string(u64(*lease, "pid"));
-            const std::uint64_t hb = u64(*lease, "heartbeat_ms");
+            pid = std::to_string(c.lease.pid);
+            const std::uint64_t hb = c.lease.heartbeatMs;
             hb_age = hb && hb <= now_ms
                          ? formatDouble((now_ms - hb) / 1000.0, 1) +
                                " s"
                          : "?";
-        } else if (const std::uint64_t wp = u64(c, "worker_pid")) {
-            pid = std::to_string(wp);
+        } else if (c.workerPid) {
+            pid = std::to_string(c.workerPid);
         }
         std::string detail;
-        if (status == "completed") {
+        if (c.status == CellStatus::Completed) {
             ++completed;
-        } else if (status == "failed") {
+        } else if (c.status == CellStatus::Failed) {
             ++failed;
-            if (c.find("crashed")) {
+            if (c.crashed) {
                 ++crashed;
-                detail = "crashed, signal " +
-                         std::to_string(u64(c, "signal")) + ": ";
+                detail = "crashed, signal " + std::to_string(c.signal) +
+                         ": ";
             }
-            detail += str(c, "error");
-        } else if (status == "skipped") {
+            detail += c.error;
+        } else if (c.status == CellStatus::Skipped) {
             ++skipped;
-        } else if (status == "pending") {
+        } else if (c.status == CellStatus::Pending) {
             ++pending;
         }
-        const std::uint64_t gen = u64(c, "lease_generation");
-        const std::uint64_t att = u64(c, "attempts");
         t.row()
-            .cell(str(c, "run") + "/" + str(c, "policy"))
-            .cell(status)
-            .cell(att ? std::to_string(att) : "-")
+            .cell(c.run + "/" + c.policy)
+            .cell(obs::toJson(c.status).asString())
+            .cell(c.attempts ? std::to_string(c.attempts) : "-")
             .cell(pid)
-            .cell(gen ? std::to_string(gen) : "-")
+            .cell(c.generation ? std::to_string(c.generation) : "-")
             .cell(hb_age)
             .cell(detail.empty() ? "-" : detail);
     }

@@ -126,11 +126,10 @@ BM_LruCacheAccess(benchmark::State &state)
 BENCHMARK(BM_LruCacheAccess);
 
 void
-simulatedInstruction(benchmark::State &state, bool force_virtual)
+simulatedInstruction(benchmark::State &state)
 {
     HierarchyConfig hcfg;
-    Engine eng = makeEngine(PolicyKind::Sampler, hcfg, CoreConfig{},
-                            {}, force_virtual);
+    Engine eng = makeEngine(PolicyKind::Sampler, hcfg, CoreConfig{});
     SyntheticWorkload workload(specProfile("456.hmmer"));
     // Use run() in chunks so the benchmark measures steady state.
     std::vector<AccessGenerator *> gens = {&workload};
@@ -139,11 +138,11 @@ simulatedInstruction(benchmark::State &state, bool force_virtual)
     state.SetItemsProcessed(state.iterations() * 10000);
 }
 
-/** The default (sealed fast-path) engine, as the runner uses it. */
+/** The sealed Sampler engine, as the runner uses it. */
 void
 BM_SimulatedInstruction(benchmark::State &state)
 {
-    simulatedInstruction(state, false);
+    simulatedInstruction(state);
 }
 BENCHMARK(BM_SimulatedInstruction)->Unit(benchmark::kMillisecond);
 
@@ -157,7 +156,7 @@ void
 simulatedInstructionSimd(benchmark::State &state, bool simd_on)
 {
     const bool prev = simd::setEnabledForTest(simd_on);
-    simulatedInstruction(state, false);
+    simulatedInstruction(state);
     simd::setEnabledForTest(prev);
 }
 BENCHMARK_CAPTURE(simulatedInstructionSimd, simd, true)
@@ -165,15 +164,6 @@ BENCHMARK_CAPTURE(simulatedInstructionSimd, simd, true)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(simulatedInstructionSimd, scalar, false)
     ->Name("BM_SimulatedInstruction/scalar")
-    ->Unit(benchmark::kMillisecond);
-
-/** The type-erased reference stack (SDBP_NO_FASTPATH route). */
-void
-BM_SimulatedInstructionVirtual(benchmark::State &state)
-{
-    simulatedInstruction(state, true);
-}
-BENCHMARK(BM_SimulatedInstructionVirtual)
     ->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace

@@ -14,10 +14,10 @@
  * fault injection, everything the runner and tools touch through the
  * virtual interface) and BasicDeadBlockPolicy<Inner, Pred>, which
  * binds the wrapped policy and predictor types at compile time so
- * the sealed engine compositions (DESIGN.md §12) run the whole
- * onAccess -> predictor -> inner chain without a virtual dispatch.
- * `DeadBlockPolicy` is the type-erased alias used by the factory's
- * slow path.
+ * the whole onAccess -> predictor -> inner chain runs without a
+ * virtual dispatch (DESIGN.md §12).  The factory builds every DBRB
+ * kind this way.  `DeadBlockPolicy` is the fully type-erased alias,
+ * for components known only through their virtual interfaces.
  */
 
 #ifndef SDBP_CACHE_DEAD_BLOCK_POLICY_HH
@@ -165,8 +165,8 @@ class DeadBlockPolicyBase : public ReplacementPolicy
 /**
  * DBRB with the wrapped policy and predictor types bound at compile
  * time.  With final Inner/Pred classes every hook below devirtualizes
- * into direct calls; with the interface types it is exactly the old
- * virtual chain (the factory's slow path).
+ * into direct calls; with the interface types it is the plain
+ * virtual chain.
  */
 template <class Inner, class Pred>
 class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
@@ -342,7 +342,8 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
     std::unique_ptr<Pred> predictor_;
 };
 
-/** The type-erased DBRB: virtual inner/predictor dispatch. */
+/** The type-erased DBRB: virtual inner/predictor dispatch, for
+ *  user-supplied components. */
 using DeadBlockPolicy =
     BasicDeadBlockPolicy<ReplacementPolicy, DeadBlockPredictor>;
 

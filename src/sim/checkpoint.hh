@@ -217,7 +217,6 @@ struct JsonFields<RunConfig>
         v("measure_instructions", c.measureInstructions);
         v("record_llc_trace", c.recordLlcTrace);
         v("track_efficiency", c.trackEfficiency);
-        v("force_virtual_path", c.forceVirtualPath);
         v("hierarchy", c.hierarchy);
         v("core", c.core);
         v("policy", c.policy);

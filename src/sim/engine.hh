@@ -1,24 +1,24 @@
 /**
  * @file
- * The hot-path engine: maps a PolicyKind onto a sealed, fully
- * devirtualized System composition when one exists, or onto the
- * type-erased (virtual-dispatch) stack otherwise (DESIGN.md §12).
+ * The hot-path engine: the System for a PolicyKind, built by the same
+ * construction switch as makePolicy (visitPolicy, sim/policy_factory.cc)
+ * and hosted according to the policy's concrete type (DESIGN.md §12).
  *
- * The sealed compositions cover the configurations the paper's
- * figures spend almost all their simulation time in:
+ * Eight kinds run on a sealed, fully devirtualized BasicSystem<P>:
  *
- *   LRU                  -> BasicSystem<LruPolicy>
- *   Random               -> BasicSystem<RandomPolicy>
+ *   LRU, Random          -> BasicSystem<LruPolicy>, <RandomPolicy>
+ *   DIP, TADIP, LIP      -> BasicSystem<DipPolicy>
+ *   RRIP                 -> BasicSystem<RripPolicy>
  *   Sampler (DBRB/SDBP)  -> BasicSystem<BasicDeadBlockPolicy<
  *                               LruPolicy, SamplingDeadBlockPredictor>>
  *   Random Sampler       -> same with RandomPolicy inside
  *
- * Every other kind — and every kind when the caller forces the
- * virtual path — runs on BasicSystem<ReplacementPolicy>, the
- * extension point where user-supplied policies and predictors plug
- * in through the virtual interfaces.  Both paths execute the same
- * template code, so their simulated outcomes are bit-identical
- * (pinned by tests/fastpath_test.cc).
+ * The other nine run on the type-erased System
+ * (BasicSystem<ReplacementPolicy>), the extension point where
+ * user-supplied policies and predictors plug in through the virtual
+ * interfaces.  Their DBRB wrappers are still typed
+ * BasicDeadBlockPolicy<Inner, Pred> over final classes, so inside
+ * the wrapper the inner-policy and predictor calls are direct.
  */
 
 #ifndef SDBP_SIM_ENGINE_HH
@@ -35,8 +35,9 @@ namespace sdbp
 
 /**
  * A ready-to-run System plus typed views into its LLC policy stack
- * (same contract as PolicyBundle's views: non-owning, nullptr when
- * the stack has no such part).
+ * (non-owning, nullptr when the stack has no such part), so the
+ * runner and tools reach DBRB stats, the predictor and fault
+ * accounting without a dynamic_cast.
  */
 struct Engine
 {
@@ -55,20 +56,12 @@ struct Engine
     DeadBlockPredictor *predictor = nullptr;
     /** The fault injector, when fault injection is configured. */
     const fault::FaultInjector *faults = nullptr;
-    /** True when a sealed composition was selected. */
-    bool fastPath = false;
 };
 
-/**
- * Build the System for @p kind.
- *
- * @param force_virtual route even sealed kinds through the
- *        type-erased stack (equivalence testing, SDBP_NO_FASTPATH)
- */
+/** Build the System for @p kind. */
 Engine makeEngine(PolicyKind kind, const HierarchyConfig &hcfg,
                   const CoreConfig &ccfg,
-                  const PolicyOptions &opts = {},
-                  bool force_virtual = false);
+                  const PolicyOptions &opts = {});
 
 } // namespace sdbp
 

@@ -1,6 +1,8 @@
 #include "sim/policy_factory.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <type_traits>
 
 #include "cache/dip.hh"
 #include "cache/lru.hh"
@@ -13,6 +15,7 @@
 #include "predictor/burst_trace.hh"
 #include "predictor/reftrace.hh"
 #include "predictor/time_based.hh"
+#include "sim/engine.hh"
 #include "util/logging.hh"
 
 namespace sdbp
@@ -108,6 +111,10 @@ parsePolicyKind(const std::string &name)
     return std::nullopt;
 }
 
+namespace
+{
+
+/** opts.sdbp if set, else the paper default; llcSets pinned either way. */
 SdbpConfig
 resolveSdbpConfig(std::uint32_t num_sets, const PolicyOptions &opts)
 {
@@ -117,39 +124,124 @@ resolveSdbpConfig(std::uint32_t num_sets, const PolicyOptions &opts)
     return cfg;
 }
 
-namespace
+/** A predictor configuration at its defaults, sized for the LLC. */
+template <class Cfg>
+Cfg
+forLlc(std::uint32_t num_sets)
 {
-
-std::unique_ptr<DeadBlockPredictor>
-makeSdbp(std::uint32_t num_sets, const PolicyOptions &opts)
-{
-    return std::make_unique<SamplingDeadBlockPredictor>(
-        resolveSdbpConfig(num_sets, opts));
+    Cfg cfg;
+    cfg.llcSets = num_sets;
+    return cfg;
 }
 
-PolicyBundle
-plain(std::unique_ptr<ReplacementPolicy> policy)
+/**
+ * DBRB over @p inner and a Pred built from @p pred_args.  The
+ * predictor is constructed after the inner policy, so their arena
+ * lanes sit in walk order (DESIGN.md §15).
+ */
+template <class Pred, class Inner, class... A>
+std::unique_ptr<BasicDeadBlockPolicy<Inner, Pred>>
+dbrb(std::unique_ptr<Inner> inner, const PolicyOptions &opts,
+     A &&...pred_args)
 {
-    PolicyBundle b;
-    b.policy = std::move(policy);
-    return b;
+    auto pred = std::make_unique<Pred>(std::forward<A>(pred_args)...);
+    return std::make_unique<BasicDeadBlockPolicy<Inner, Pred>>(
+        std::move(inner), std::move(pred), opts.dbrb);
 }
 
-PolicyBundle
-wrapDbrb(std::unique_ptr<ReplacementPolicy> inner,
-         std::unique_ptr<DeadBlockPredictor> predictor,
-         const PolicyOptions &opts)
+/**
+ * Build the LLC policy of @p kind as its concrete type P and return
+ * f(std::unique_ptr<P>).  P is a final policy class, or
+ * BasicDeadBlockPolicy<Inner, Pred> over final classes for the DBRB
+ * kinds (Table V), so the caller decides from the type alone how to
+ * host it.  The only switch over PolicyKind that constructs policies.
+ */
+template <class F>
+auto
+visitPolicy(PolicyKind kind, std::uint32_t sets, std::uint32_t assoc,
+            const PolicyOptions &opts, F &&f)
 {
-    auto dbrb = std::make_unique<DeadBlockPolicy>(std::move(inner),
-                                                  std::move(predictor),
-                                                  opts.dbrb);
-    PolicyBundle b;
-    b.dbrb = dbrb.get();
-    b.predictor = &dbrb->predictor();
-    b.faultInjector = dbrb->faultInjector();
-    b.policy = std::move(dbrb);
-    return b;
+    const auto lru = [&] {
+        return std::make_unique<LruPolicy>(sets, assoc);
+    };
+    const auto random = [&] {
+        return std::make_unique<RandomPolicy>(sets, assoc, opts.seed);
+    };
+    const auto dip = [&](DipConfig cfg) {
+        cfg.seed = opts.seed;
+        return std::make_unique<DipPolicy>(sets, assoc, cfg);
+    };
+
+    switch (kind) {
+      case PolicyKind::Lru:
+        return f(lru());
+      case PolicyKind::Random:
+        return f(random());
+      case PolicyKind::Dip:
+        return f(dip({}));
+      case PolicyKind::Tadip: {
+        DipConfig cfg;
+        cfg.numThreads = std::max<std::uint32_t>(2, opts.numThreads);
+        return f(dip(cfg));
+      }
+      case PolicyKind::Lip: {
+        // LIP: every fill goes to the LRU position.
+        DipConfig cfg;
+        cfg.staticBip = true;
+        cfg.bipEpsilonDenom = 1u << 30; // never insert at MRU
+        return f(dip(cfg));
+      }
+      case PolicyKind::Rrip: {
+        RripConfig cfg;
+        cfg.numThreads = opts.numThreads;
+        cfg.seed = opts.seed;
+        return f(std::make_unique<RripPolicy>(sets, assoc, cfg));
+      }
+      case PolicyKind::TreePlru:
+        return f(std::make_unique<TreePlruPolicy>(sets, assoc));
+      case PolicyKind::Nru:
+        return f(std::make_unique<NruPolicy>(sets, assoc));
+      case PolicyKind::Sampler:
+        return f(dbrb<SamplingDeadBlockPredictor>(
+            lru(), opts, resolveSdbpConfig(sets, opts)));
+      case PolicyKind::Tdbp:
+        return f(dbrb<RefTracePredictor>(lru(), opts));
+      case PolicyKind::Cdbp:
+        return f(dbrb<CountingPredictor>(lru(), opts));
+      case PolicyKind::RandomSampler:
+        return f(dbrb<SamplingDeadBlockPredictor>(
+            random(), opts, resolveSdbpConfig(sets, opts)));
+      case PolicyKind::RandomCdbp:
+        return f(dbrb<CountingPredictor>(random(), opts));
+      case PolicyKind::SamplingCounting:
+        return f(dbrb<SamplingCountingPredictor>(
+            lru(), opts, forLlc<SamplingCountingConfig>(sets)));
+      case PolicyKind::Aip:
+        return f(dbrb<AipPredictor>(lru(), opts,
+                                    forLlc<AipConfig>(sets)));
+      case PolicyKind::TimeDbp:
+        return f(dbrb<TimeBasedPredictor>(
+            lru(), opts, forLlc<TimeBasedConfig>(sets)));
+      case PolicyKind::BurstDbp:
+        return f(dbrb<BurstTracePredictor>(
+            lru(), opts, forLlc<BurstTraceConfig>(sets)));
+    }
+    fatal("visitPolicy: unknown policy kind");
 }
+
+/**
+ * The compositions makeEngine seals into BasicSystem<P>: LRU, Random,
+ * DIP/TADIP/LIP, RRIP and SDBP-DBRB over LRU or Random (DESIGN.md
+ * §12).  Every other policy type runs on the type-erased System.
+ */
+template <class P>
+constexpr bool kSealed =
+    std::is_same_v<P, LruPolicy> || std::is_same_v<P, RandomPolicy> ||
+    std::is_same_v<P, DipPolicy> || std::is_same_v<P, RripPolicy> ||
+    std::is_same_v<P, BasicDeadBlockPolicy<LruPolicy,
+                                           SamplingDeadBlockPredictor>> ||
+    std::is_same_v<P, BasicDeadBlockPolicy<RandomPolicy,
+                                           SamplingDeadBlockPredictor>>;
 
 } // anonymous namespace
 
@@ -157,100 +249,39 @@ std::unique_ptr<ReplacementPolicy>
 makePolicy(PolicyKind kind, std::uint32_t num_sets, std::uint32_t assoc,
            const PolicyOptions &opts)
 {
-    return makeBundle(kind, num_sets, assoc, opts).policy;
+    return visitPolicy(
+        kind, num_sets, assoc, opts,
+        []<class P>(std::unique_ptr<P> policy)
+            -> std::unique_ptr<ReplacementPolicy> { return policy; });
 }
 
-PolicyBundle
-makeBundle(PolicyKind kind, std::uint32_t num_sets,
-           std::uint32_t assoc, const PolicyOptions &opts)
+Engine
+makeEngine(PolicyKind kind, const HierarchyConfig &hcfg,
+           const CoreConfig &ccfg, const PolicyOptions &opts)
 {
-    switch (kind) {
-      case PolicyKind::Lru:
-        return plain(std::make_unique<LruPolicy>(num_sets, assoc));
-      case PolicyKind::Random:
-        return plain(std::make_unique<RandomPolicy>(num_sets, assoc,
-                                                    opts.seed));
-      case PolicyKind::Dip: {
-        DipConfig cfg;
-        cfg.seed = opts.seed;
-        return plain(std::make_unique<DipPolicy>(num_sets, assoc,
-                                                 cfg));
-      }
-      case PolicyKind::Tadip: {
-        DipConfig cfg;
-        cfg.numThreads = std::max<std::uint32_t>(2, opts.numThreads);
-        cfg.seed = opts.seed;
-        return plain(std::make_unique<DipPolicy>(num_sets, assoc,
-                                                 cfg));
-      }
-      case PolicyKind::Rrip: {
-        RripConfig cfg;
-        cfg.numThreads = opts.numThreads;
-        cfg.seed = opts.seed;
-        return plain(std::make_unique<RripPolicy>(num_sets, assoc,
-                                                  cfg));
-      }
-      case PolicyKind::Sampler:
-        return wrapDbrb(std::make_unique<LruPolicy>(num_sets, assoc),
-                        makeSdbp(num_sets, opts), opts);
-      case PolicyKind::Tdbp:
-        return wrapDbrb(std::make_unique<LruPolicy>(num_sets, assoc),
-                        std::make_unique<RefTracePredictor>(), opts);
-      case PolicyKind::Cdbp:
-        return wrapDbrb(std::make_unique<LruPolicy>(num_sets, assoc),
-                        std::make_unique<CountingPredictor>(), opts);
-      case PolicyKind::RandomSampler:
-        return wrapDbrb(std::make_unique<RandomPolicy>(num_sets, assoc,
-                                                       opts.seed),
-                        makeSdbp(num_sets, opts), opts);
-      case PolicyKind::RandomCdbp:
-        return wrapDbrb(std::make_unique<RandomPolicy>(num_sets, assoc,
-                                                       opts.seed),
-                        std::make_unique<CountingPredictor>(), opts);
-      case PolicyKind::SamplingCounting: {
-        SamplingCountingConfig cfg;
-        cfg.llcSets = num_sets;
-        return wrapDbrb(
-            std::make_unique<LruPolicy>(num_sets, assoc),
-            std::make_unique<SamplingCountingPredictor>(cfg), opts);
-      }
-      case PolicyKind::TreePlru:
-        return plain(std::make_unique<TreePlruPolicy>(num_sets,
-                                                      assoc));
-      case PolicyKind::Nru:
-        return plain(std::make_unique<NruPolicy>(num_sets,
-                                                 assoc));
-      case PolicyKind::Lip: {
-        // LIP: every fill goes to the LRU position.
-        DipConfig cfg;
-        cfg.seed = opts.seed;
-        cfg.staticBip = true;
-        cfg.bipEpsilonDenom = 1u << 30; // never insert at MRU
-        return plain(std::make_unique<DipPolicy>(num_sets, assoc,
-                                                 cfg));
-      }
-      case PolicyKind::Aip: {
-        AipConfig cfg;
-        cfg.llcSets = num_sets;
-        return wrapDbrb(std::make_unique<LruPolicy>(num_sets, assoc),
-                        std::make_unique<AipPredictor>(cfg), opts);
-      }
-      case PolicyKind::TimeDbp: {
-        TimeBasedConfig cfg;
-        cfg.llcSets = num_sets;
-        return wrapDbrb(
-            std::make_unique<LruPolicy>(num_sets, assoc),
-            std::make_unique<TimeBasedPredictor>(cfg), opts);
-      }
-      case PolicyKind::BurstDbp: {
-        BurstTraceConfig cfg;
-        cfg.llcSets = num_sets;
-        return wrapDbrb(
-            std::make_unique<LruPolicy>(num_sets, assoc),
-            std::make_unique<BurstTracePredictor>(cfg), opts);
-      }
-    }
-    fatal("makeBundle: unknown policy kind");
+    // Everything below — policy, predictor, caches — is built under
+    // this scope, so every storage lane bump-allocates from the
+    // engine's own arena, contiguous in construction (= walk) order.
+    Engine e;
+    e.arena = std::make_unique<Arena>();
+    ArenaScope scope(*e.arena);
+    e.system = visitPolicy(
+        kind, hcfg.llc.numSets, hcfg.llc.assoc, opts,
+        [&]<class P>(std::unique_ptr<P> policy)
+            -> std::unique_ptr<SystemBase> {
+            if constexpr (std::is_base_of_v<DeadBlockPolicyBase, P>) {
+                e.dbrb = policy.get();
+                e.predictor = &policy->predictor();
+                e.faults = policy->faultInjector();
+            }
+            if constexpr (kSealed<P>)
+                return std::make_unique<BasicSystem<P>>(
+                    hcfg, ccfg, std::move(policy));
+            else
+                return std::make_unique<System>(hcfg, ccfg,
+                                                std::move(policy));
+        });
+    return e;
 }
 
 const std::vector<PolicyKind> &

@@ -1,7 +1,9 @@
 /**
  * @file
- * Construction of the LLC policies evaluated in the paper
- * (Table V's legend).
+ * The LLC policies evaluated in the paper (Table V's legend): their
+ * names, the figure line-ups, and construction.  policy_factory.cc
+ * holds the one switch over PolicyKind that builds them
+ * (visitPolicy), shared by makePolicy and makeEngine.
  */
 
 #ifndef SDBP_SIM_POLICY_FACTORY_HH
@@ -56,24 +58,6 @@ struct PolicyOptions
     std::uint64_t seed = 0xbeef;
 };
 
-/**
- * An LLC policy plus typed views into its interesting parts.  The
- * views are non-owning pointers into `policy` (nullptr when the
- * policy has no DBRB wrapper / fault injector), so the runner and
- * tools reach DBRB stats, the predictor and fault accounting without
- * a dynamic_cast.
- */
-struct PolicyBundle
-{
-    std::unique_ptr<ReplacementPolicy> policy;
-    /** The DBRB wrapper, when `kind` is a DBRB technique. */
-    DeadBlockPolicyBase *dbrb = nullptr;
-    /** The wrapped dead block predictor, when DBRB. */
-    DeadBlockPredictor *predictor = nullptr;
-    /** The fault injector, when fault injection is configured. */
-    const fault::FaultInjector *faultInjector = nullptr;
-};
-
 /** Display name used in result tables ("Sampler", "TDBP", ...). */
 std::string policyName(PolicyKind kind);
 
@@ -87,25 +71,14 @@ std::optional<PolicyKind> parsePolicyKind(const std::string &name);
 /** Every PolicyKind, in declaration order (CLI help text). */
 const std::vector<PolicyKind> &allPolicyKinds();
 
-/** Build an LLC policy instance together with its typed views. */
-PolicyBundle
-makeBundle(PolicyKind kind, std::uint32_t num_sets,
-           std::uint32_t assoc, const PolicyOptions &opts = {});
-
-/** Build an LLC policy instance (makeBundle minus the views). */
+/**
+ * Build an LLC policy instance.  DBRB kinds come back as a typed
+ * BasicDeadBlockPolicy<Inner, Pred>; DeadBlockPolicyBase is their
+ * common face (stats, predictor, inner policy).
+ */
 std::unique_ptr<ReplacementPolicy>
 makePolicy(PolicyKind kind, std::uint32_t num_sets, std::uint32_t assoc,
            const PolicyOptions &opts = {});
-
-/**
- * The sampling predictor configuration a policy built by this
- * factory would use: opts.sdbp if set, else the paper default —
- * with llcSets pinned to @p num_sets either way.  Exported so the
- * sealed engine compositions (sim/engine) construct predictors
- * identical to the factory's.
- */
-SdbpConfig resolveSdbpConfig(std::uint32_t num_sets,
-                             const PolicyOptions &opts);
 
 /** Policies compared in Figs. 4/5 (LRU-default single core). */
 const std::vector<PolicyKind> &lruDefaultPolicies();

@@ -54,14 +54,6 @@ struct RunConfig
     /** Track per-frame LLC efficiency (Fig. 1). */
     bool trackEfficiency = false;
     /**
-     * Route the run through the type-erased (virtual-dispatch)
-     * policy stack even when a sealed fast-path composition exists
-     * (sim/engine).  Outcomes are bit-identical either way; this
-     * exists for equivalence testing and as an escape hatch
-     * (SDBP_NO_FASTPATH=1).
-     */
-    bool forceVirtualPath = false;
-    /**
      * Where the reference stream comes from: the benchmark's
      * synthetic workload by default, or a trace file (native or
      * ChampSim), optionally simulated via interval selection

@@ -138,7 +138,11 @@ class ArenaScope
 
   private:
     Arena *prev_;
-    static thread_local Arena *tlCurrent;
+    // constinit + inline: constant-initialized and defined here, so
+    // every TU reaches the binding directly rather than through a
+    // thread_local init wrapper (pool threads failed UBSan's null
+    // store check through that wrapper).
+    static inline constinit thread_local Arena *tlCurrent = nullptr;
 };
 
 /**

@@ -43,13 +43,13 @@ TEST(PolicyFactory, BuildsEveryKindWithCorrectGeometry)
 TEST(PolicyFactory, DbrbKindsExposePredictors)
 {
     auto sampler = makePolicy(PolicyKind::Sampler, 2048, 16);
-    auto *dbrb = dynamic_cast<DeadBlockPolicy *>(sampler.get());
+    auto *dbrb = dynamic_cast<DeadBlockPolicyBase *>(sampler.get());
     ASSERT_NE(dbrb, nullptr);
     EXPECT_EQ(dbrb->predictor().name(), "sampler");
     EXPECT_EQ(dbrb->inner().name(), "lru");
 
     auto rc = makePolicy(PolicyKind::RandomCdbp, 2048, 16);
-    auto *dbrb2 = dynamic_cast<DeadBlockPolicy *>(rc.get());
+    auto *dbrb2 = dynamic_cast<DeadBlockPolicyBase *>(rc.get());
     ASSERT_NE(dbrb2, nullptr);
     EXPECT_EQ(dbrb2->predictor().name(), "counting");
     EXPECT_EQ(dbrb2->inner().name(), "random");
@@ -61,7 +61,7 @@ TEST(PolicyFactory, SdbpOverrideIsHonored)
     opts.sdbp = SdbpConfig::singleTable();
     opts.sdbp->useSampler = false;
     auto policy = makePolicy(PolicyKind::Sampler, 2048, 16, opts);
-    auto *dbrb = dynamic_cast<DeadBlockPolicy *>(policy.get());
+    auto *dbrb = dynamic_cast<DeadBlockPolicyBase *>(policy.get());
     ASSERT_NE(dbrb, nullptr);
     const auto &pred = dynamic_cast<const SamplingDeadBlockPredictor &>(
         dbrb->predictor());

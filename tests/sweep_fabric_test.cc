@@ -113,7 +113,6 @@ TEST(SweepFabric, ConfigJsonRoundTrip)
     cfg.measureInstructions = 56789;
     cfg.recordLlcTrace = true;
     cfg.trackEfficiency = true;
-    cfg.forceVirtualPath = true;
     cfg.hierarchy.llc.numSets = 1024;
     cfg.hierarchy.llc.assoc = 8;
     cfg.hierarchy.memLatency = 321;
@@ -126,28 +125,33 @@ TEST(SweepFabric, ConfigJsonRoundTrip)
     cfg.obs.intervalInstructions = 5000;
     cfg.obs.statsJsonPath = "stats.json";
 
-    const RunConfig back = obs::fromJson<RunConfig>(obs::toJson(cfg));
-    EXPECT_EQ(back.warmupInstructions, cfg.warmupInstructions);
-    EXPECT_EQ(back.measureInstructions, cfg.measureInstructions);
-    EXPECT_EQ(back.recordLlcTrace, cfg.recordLlcTrace);
-    EXPECT_EQ(back.trackEfficiency, cfg.trackEfficiency);
-    EXPECT_EQ(back.forceVirtualPath, cfg.forceVirtualPath);
-    EXPECT_EQ(back.hierarchy.llc.numSets, cfg.hierarchy.llc.numSets);
-    EXPECT_EQ(back.hierarchy.llc.assoc, cfg.hierarchy.llc.assoc);
-    EXPECT_EQ(back.hierarchy.memLatency, cfg.hierarchy.memLatency);
-    EXPECT_EQ(back.hierarchy.memServiceInterval,
-              cfg.hierarchy.memServiceInterval);
-    EXPECT_EQ(back.hierarchy.numCores, cfg.hierarchy.numCores);
-    EXPECT_EQ(back.hierarchy.prefetch.degree,
-              cfg.hierarchy.prefetch.degree);
-    EXPECT_EQ(back.policy.seed, cfg.policy.seed);
-    EXPECT_EQ(back.policy.dbrb.fault.faultsPerMillion,
-              cfg.policy.dbrb.fault.faultsPerMillion);
-    EXPECT_EQ(back.policy.dbrb.fault.seed, cfg.policy.dbrb.fault.seed);
-    EXPECT_EQ(back.obs.collect, cfg.obs.collect);
-    EXPECT_EQ(back.obs.intervalInstructions,
-              cfg.obs.intervalInstructions);
-    EXPECT_EQ(back.obs.statsJsonPath, cfg.obs.statsJsonPath);
+    // Manifests written by older builds carry the retired
+    // forced-virtual-route flag; they must still parse.
+    obs::JsonValue legacy = obs::toJson(cfg);
+    legacy.set("force_virtual_path", true);
+    for (const obs::JsonValue &json : {obs::toJson(cfg), legacy}) {
+        const RunConfig back = obs::fromJson<RunConfig>(json);
+        EXPECT_EQ(back.warmupInstructions, cfg.warmupInstructions);
+        EXPECT_EQ(back.measureInstructions, cfg.measureInstructions);
+        EXPECT_EQ(back.recordLlcTrace, cfg.recordLlcTrace);
+        EXPECT_EQ(back.trackEfficiency, cfg.trackEfficiency);
+        EXPECT_EQ(back.hierarchy.llc.numSets, cfg.hierarchy.llc.numSets);
+        EXPECT_EQ(back.hierarchy.llc.assoc, cfg.hierarchy.llc.assoc);
+        EXPECT_EQ(back.hierarchy.memLatency, cfg.hierarchy.memLatency);
+        EXPECT_EQ(back.hierarchy.memServiceInterval,
+                  cfg.hierarchy.memServiceInterval);
+        EXPECT_EQ(back.hierarchy.numCores, cfg.hierarchy.numCores);
+        EXPECT_EQ(back.hierarchy.prefetch.degree,
+                  cfg.hierarchy.prefetch.degree);
+        EXPECT_EQ(back.policy.seed, cfg.policy.seed);
+        EXPECT_EQ(back.policy.dbrb.fault.faultsPerMillion,
+                  cfg.policy.dbrb.fault.faultsPerMillion);
+        EXPECT_EQ(back.policy.dbrb.fault.seed, cfg.policy.dbrb.fault.seed);
+        EXPECT_EQ(back.obs.collect, cfg.obs.collect);
+        EXPECT_EQ(back.obs.intervalInstructions,
+                  cfg.obs.intervalInstructions);
+        EXPECT_EQ(back.obs.statsJsonPath, cfg.obs.statsJsonPath);
+    }
 }
 
 TEST(SweepFabric, ChaosSpecParsing)

@@ -3,7 +3,9 @@
  * Golden-result corpus: every PolicyKind on 456.hmmer and 429.mcf at
  * a reduced budget (200k warm-up + 800k measured instructions, one
  * snapshot every 200k), compared against the expected outcome
- * committed under tests/golden/.
+ * committed under tests/golden/.  Variant cells pin what the default
+ * geometry does not reach: every DBRB kind on a 512-set, 11-way LLC,
+ * and SDBP without its sampler.
  *
  * Each cell has its own file (so a parallel ctest never has two
  * writers on one path) holding two blocks:
@@ -130,22 +132,14 @@ cellName(PolicyKind kind, const std::string &benchmark)
     return name;
 }
 
-class GoldenCorpus : public ::testing::TestWithParam<GoldenParam>
+/**
+ * Run one cell and compare it against tests/golden/<stem>.json (or
+ * rewrite that file under SDBP_UPDATE_GOLDEN=1).
+ */
+void
+checkCell(PolicyKind kind, const std::string &benchmark,
+          const RunConfig &cfg, const std::string &stem)
 {
-};
-
-TEST_P(GoldenCorpus, MatchesCommittedCell)
-{
-    const auto [kind, benchmark] = GetParam();
-
-    // Built from the defaults, not RunConfig::singleCore(): the
-    // corpus must not move with SDBP_* environment overrides.
-    RunConfig cfg;
-    cfg.warmupInstructions = 200'000;
-    cfg.measureInstructions = 800'000;
-    cfg.obs.collect = true;
-    cfg.obs.intervalInstructions = 200'000;
-
     const RunResult res = runSingleCore(benchmark, kind, cfg);
     ASSERT_TRUE(res.artifacts);
     auto cell = obs::JsonValue::object();
@@ -153,8 +147,8 @@ TEST_P(GoldenCorpus, MatchesCommittedCell)
     cell.set("artifacts", stripVolatile(res.artifacts->toJson()));
     const std::string actual = cell.dump(2) + "\n";
 
-    const std::string path = std::string(SDBP_GOLDEN_DIR) + "/" +
-                             cellName(kind, benchmark) + ".json";
+    const std::string path =
+        std::string(SDBP_GOLDEN_DIR) + "/" + stem + ".json";
     bool have_file = false;
     const std::string committed = util::readFile(path, &have_file);
     const auto expected = have_file
@@ -198,6 +192,33 @@ TEST_P(GoldenCorpus, MatchesCommittedCell)
     }
 }
 
+/**
+ * The corpus budget.  Built from the defaults, not
+ * RunConfig::singleCore(): the corpus must not move with SDBP_*
+ * environment overrides.
+ */
+RunConfig
+goldenConfig()
+{
+    RunConfig cfg;
+    cfg.warmupInstructions = 200'000;
+    cfg.measureInstructions = 800'000;
+    cfg.obs.collect = true;
+    cfg.obs.intervalInstructions = 200'000;
+    return cfg;
+}
+
+class GoldenCorpus : public ::testing::TestWithParam<GoldenParam>
+{
+};
+
+TEST_P(GoldenCorpus, MatchesCommittedCell)
+{
+    const auto [kind, benchmark] = GetParam();
+    checkCell(kind, benchmark, goldenConfig(),
+              cellName(kind, benchmark));
+}
+
 std::string
 paramName(const ::testing::TestParamInfo<GoldenParam> &info)
 {
@@ -209,6 +230,83 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(allPolicyKinds()),
                        ::testing::Values("456.hmmer", "429.mcf")),
     paramName);
+
+/**
+ * A cell off the default configuration; its file name carries the
+ * variant as a suffix ("CDBP_429_mcf_512x11").
+ */
+struct GoldenVariant
+{
+    PolicyKind kind;
+    std::string benchmark;
+    /** "512x11": a 512-set, 11-way LLC (odd, non-power-of-two
+     *  associativity: per-frame indexing and the assoc / 2 recency
+     *  grace); "nosampler": SDBP learning from every LLC set (Fig. 6's
+     *  "DBRB alone"). */
+    std::string variant;
+};
+
+std::string
+variantStem(const GoldenVariant &v)
+{
+    return cellName(v.kind, v.benchmark) + "_" + v.variant;
+}
+
+void
+PrintTo(const GoldenVariant &v, std::ostream *os)
+{
+    *os << variantStem(v);
+}
+
+RunConfig
+variantConfig(const std::string &variant)
+{
+    RunConfig cfg = goldenConfig();
+    if (variant == "512x11") {
+        cfg.hierarchy.llc.numSets = 512;
+        cfg.hierarchy.llc.assoc = 11;
+    } else if (variant == "nosampler") {
+        SdbpConfig sdbp = SdbpConfig::singleTable();
+        sdbp.useSampler = false;
+        cfg.policy.sdbp = sdbp;
+    } else {
+        ADD_FAILURE() << "unknown golden variant " << variant;
+    }
+    return cfg;
+}
+
+class GoldenVariantCorpus
+    : public ::testing::TestWithParam<GoldenVariant>
+{
+};
+
+TEST_P(GoldenVariantCorpus, MatchesCommittedCell)
+{
+    const GoldenVariant &v = GetParam();
+    checkCell(v.kind, v.benchmark, variantConfig(v.variant),
+              variantStem(v));
+}
+
+std::vector<GoldenVariant>
+variantCells()
+{
+    std::vector<GoldenVariant> cells;
+    for (const PolicyKind kind :
+         {PolicyKind::Sampler, PolicyKind::Tdbp, PolicyKind::Cdbp,
+          PolicyKind::RandomSampler, PolicyKind::RandomCdbp,
+          PolicyKind::SamplingCounting, PolicyKind::Aip,
+          PolicyKind::TimeDbp, PolicyKind::BurstDbp})
+        cells.push_back({kind, "429.mcf", "512x11"});
+    for (const char *benchmark : {"456.hmmer", "429.mcf"})
+        cells.push_back({PolicyKind::Sampler, benchmark, "nosampler"});
+    return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, GoldenVariantCorpus, ::testing::ValuesIn(variantCells()),
+    [](const ::testing::TestParamInfo<GoldenVariant> &info) {
+        return variantStem(info.param);
+    });
 
 } // anonymous namespace
 } // namespace sdbp

@@ -51,13 +51,13 @@ BENCHMARK(BM_SkewedTableLookup);
 void
 BM_SdbpAccessUnsampledSet(benchmark::State &state)
 {
-    SamplingDeadBlockPredictor p;
+    SamplingDeadBlockPredictor p(2048, 16);
     Addr addr = 0;
     for (auto _ : state) {
         addr += 64;
         benchmark::DoNotOptimize(
-            p.onAccess(1, Access::atBlock(addr,
-                                        0x400000 + (addr & 0xff))));
+            p.onAccess(1, -1, Access::atBlock(addr,
+                                            0x400000 + (addr & 0xff))));
     }
 }
 BENCHMARK(BM_SdbpAccessUnsampledSet);
@@ -65,13 +65,13 @@ BENCHMARK(BM_SdbpAccessUnsampledSet);
 void
 BM_SdbpAccessSampledSet(benchmark::State &state)
 {
-    SamplingDeadBlockPredictor p;
+    SamplingDeadBlockPredictor p(2048, 16);
     Addr addr = 0;
     for (auto _ : state) {
         addr += 2048; // stay in sampled set 0
         benchmark::DoNotOptimize(
-            p.onAccess(0, Access::atBlock(addr,
-                                        0x400000 + (addr & 0xff))));
+            p.onAccess(0, -1, Access::atBlock(addr,
+                                            0x400000 + (addr & 0xff))));
     }
 }
 BENCHMARK(BM_SdbpAccessSampledSet);
@@ -79,14 +79,15 @@ BENCHMARK(BM_SdbpAccessSampledSet);
 void
 BM_RefTraceAccess(benchmark::State &state)
 {
-    RefTracePredictor p;
+    RefTracePredictor p(2048, 16);
     Addr addr = 0;
     for (auto _ : state) {
         addr = (addr + 1) & 0xfff;
-        p.onFill(0, Access::atBlock(addr, 0x400000));
-        benchmark::DoNotOptimize(
-            p.onAccess(0, Access::atBlock(addr, 0x400004)));
-        p.onEvict(0, Access::atBlock(addr));
+        const auto way = static_cast<std::uint32_t>(addr & 15);
+        p.onFill(0, way, Access::atBlock(addr, 0x400000));
+        benchmark::DoNotOptimize(p.onAccess(
+            0, static_cast<int>(way), Access::atBlock(addr, 0x400004)));
+        p.onEvict(0, way, addr);
     }
 }
 BENCHMARK(BM_RefTraceAccess);
@@ -94,14 +95,15 @@ BENCHMARK(BM_RefTraceAccess);
 void
 BM_CountingAccess(benchmark::State &state)
 {
-    CountingPredictor p;
+    CountingPredictor p(2048, 16);
     Addr addr = 0;
     for (auto _ : state) {
         addr = (addr + 1) & 0xfff;
-        p.onFill(0, Access::atBlock(addr, 0x400000));
-        benchmark::DoNotOptimize(
-            p.onAccess(0, Access::atBlock(addr, 0x400000)));
-        p.onEvict(0, Access::atBlock(addr));
+        const auto way = static_cast<std::uint32_t>(addr & 15);
+        p.onFill(0, way, Access::atBlock(addr, 0x400000));
+        benchmark::DoNotOptimize(p.onAccess(
+            0, static_cast<int>(way), Access::atBlock(addr, 0x400000)));
+        p.onEvict(0, way, addr);
     }
 }
 BENCHMARK(BM_CountingAccess);

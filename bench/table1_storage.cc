@@ -25,9 +25,10 @@ main(int argc, char **argv)
     bench::JsonReport report("table1_storage",
                              "Table I, Sec. IV-A/B/C");
 
-    RefTracePredictor reftrace;
-    CountingPredictor counting;
-    SamplingDeadBlockPredictor sampler;
+    // Sized for the 2 MB LLC: 2048 sets x 16 ways.
+    RefTracePredictor reftrace(2048, 16);
+    CountingPredictor counting(2048, 16);
+    SamplingDeadBlockPredictor sampler(2048, 16);
 
     struct Row
     {

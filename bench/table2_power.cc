@@ -27,9 +27,10 @@ main(int argc, char **argv)
     PowerModel model;
     const auto llc = model.estimate(PowerModel::baselineLlcGeometry());
 
-    RefTracePredictor reftrace;
-    CountingPredictor counting;
-    SamplingDeadBlockPredictor sampler;
+    // Sized for the 2 MB LLC: 2048 sets x 16 ways.
+    RefTracePredictor reftrace(2048, 16);
+    CountingPredictor counting(2048, 16);
+    SamplingDeadBlockPredictor sampler(2048, 16);
 
     struct Component
     {

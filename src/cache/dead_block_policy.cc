@@ -24,8 +24,7 @@ DeadBlockPolicyBase::DeadBlockPolicyBase(
     ReplacementPolicy *inner_base, DeadBlockPredictor *pred_base,
     const DeadBlockPolicyConfig &cfg)
     : ReplacementPolicy(inner_base->numSets(), inner_base->assoc()),
-      cfg_(cfg), innerBase_(inner_base), predictorBase_(pred_base),
-      liveness_(pred_base->livenessProbe())
+      cfg_(cfg), innerBase_(inner_base), predictorBase_(pred_base)
 {
     assert(innerBase_ && predictorBase_);
     bypassWindow_ = cfg_.bypassReuseWindow

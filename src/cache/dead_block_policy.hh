@@ -158,8 +158,6 @@ class DeadBlockPolicyBase : public ReplacementPolicy
     /** The wrapped components as seen through their interfaces. */
     ReplacementPolicy *innerBase_;
     DeadBlockPredictor *predictorBase_;
-    /** Hoisted livenessProbe() capability (nullptr for most). */
-    const LivenessProbe *liveness_;
 };
 
 /**
@@ -206,7 +204,7 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
         // deterministic across SDBP_JOBS values.
         if (faults_)
             faults_->onAccess();
-        const bool dead = predictor_->onAccess(set, a);
+        const bool dead = predictor_->onAccess(set, hit_way, a);
         if (dead)
             ++stats_.positives;
         // The policy has no notion of time, so Prediction events are
@@ -251,7 +249,8 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
             // Pick the predicted-dead block closest to eviction by
             // the default policy's own ranking.  Interval/time-based
             // predictors additionally report blocks that have become
-            // dead since their last access.
+            // dead since their last access (isDeadNow; a constant
+            // false for the others once Pred is a final class).
             //
             // A recency grace period protects against
             // mispredictions: when the default policy exposes a
@@ -273,8 +272,7 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
                 if (!frames.valid(w))
                     continue;
                 const bool dead = frames.predictedDead(w) ||
-                    (liveness_ &&
-                     liveness_->isDeadNow(set, frames.blockAddr(w)));
+                    predictor_->isDeadNow(set, w);
                 if (!dead)
                     continue;
                 const std::uint32_t r = inner_->rank(set, w);
@@ -302,8 +300,7 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
             ++confusion_.deadEvicted;
         else
             ++confusion_.liveEvicted;
-        predictor_->onEvict(set,
-                            Access::atBlock(frames.blockAddr(way)));
+        predictor_->onEvict(set, way, frames.blockAddr(way));
         inner_->onEvict(set, way, frames);
     }
 
@@ -312,7 +309,7 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
            const Access &a) override
     {
         if (!a.isWriteback) {
-            predictor_->onFill(set, a);
+            predictor_->onFill(set, way, a);
             // With bypass disabled a dead-on-arrival block is
             // installed but marked so it is the next preferred
             // victim.

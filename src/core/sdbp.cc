@@ -10,9 +10,13 @@ namespace sdbp
 {
 
 SamplingDeadBlockPredictor::SamplingDeadBlockPredictor(
-    const SdbpConfig &cfg)
-    : cfg_(cfg), sampler_(cfg.sampler), table_(cfg.table)
+    std::uint32_t num_sets, std::uint32_t assoc, const SdbpConfig &cfg)
+    : cfg_(cfg), sampler_(cfg.sampler), table_(cfg.table),
+      lastSig_(cfg.useSampler ? FrameLane<std::uint16_t>()
+                              : FrameLane<std::uint16_t>(num_sets, assoc))
 {
+    SDBP_DCHECK_EQ(cfg_.llcSets, num_sets,
+                   "SDBP llcSets disagrees with the LLC geometry");
     assert(cfg_.llcSets >= cfg_.sampler.numSets);
     setStride_ = cfg_.llcSets / cfg_.sampler.numSets;
     assert(setStride_ > 0);
@@ -35,7 +39,7 @@ SamplingDeadBlockPredictor::isSampledSet(std::uint32_t set) const
 }
 
 bool
-SamplingDeadBlockPredictor::onAccess(std::uint32_t set,
+SamplingDeadBlockPredictor::onAccess(std::uint32_t set, int hit_way,
                                      const Access &a)
 {
     // a.thread is ignored: the predictor is thread-oblivious
@@ -60,10 +64,9 @@ SamplingDeadBlockPredictor::onAccess(std::uint32_t set,
     } else {
         // Ablation: learn from every access using per-block state.
         ++updates_;
-        auto it = lastSig_.find(block_addr);
-        if (it != lastSig_.end()) {
-            table_.decrement(it->second);
-            it->second = static_cast<std::uint16_t>(sig);
+        if (std::uint16_t *last = lastSig_.find(set, hit_way)) {
+            table_.decrement(*last);
+            *last = static_cast<std::uint16_t>(sig);
         }
         // Missing entries are created by onFill.
     }
@@ -71,37 +74,22 @@ SamplingDeadBlockPredictor::onAccess(std::uint32_t set,
 }
 
 void
-SamplingDeadBlockPredictor::onFill(std::uint32_t set, const Access &a)
+SamplingDeadBlockPredictor::onFill(std::uint32_t set, std::uint32_t way,
+                                   const Access &a)
 {
-    (void)set;
     if (!cfg_.useSampler)
-        lastSig_[a.blockAddr()] =
-            static_cast<std::uint16_t>(signature(a.pc));
+        lastSig_.fill(set, way,
+                      static_cast<std::uint16_t>(signature(a.pc)));
 }
 
 void
-SamplingDeadBlockPredictor::onEvict(std::uint32_t set, const Access &a)
+SamplingDeadBlockPredictor::onEvict(std::uint32_t set,
+                                    std::uint32_t way, Addr)
 {
-    (void)set;
     if (!cfg_.useSampler) {
-        auto it = lastSig_.find(a.blockAddr());
-        if (it != lastSig_.end()) {
-            table_.increment(it->second);
-            lastSig_.erase(it);
-        }
+        if (const auto last = lastSig_.take(set, way))
+            table_.increment(*last);
     }
-}
-
-std::uint64_t
-SamplingDeadBlockPredictor::storageBits() const
-{
-    return cfg_.storageBits();
-}
-
-std::uint64_t
-SamplingDeadBlockPredictor::metadataBitsPerBlock() const
-{
-    return cfg_.metadataBitsPerBlock();
 }
 
 void

@@ -20,8 +20,6 @@
 #ifndef SDBP_CORE_SDBP_HH
 #define SDBP_CORE_SDBP_HH
 
-#include <unordered_map>
-
 #include "core/sampler.hh"
 #include "core/skewed_table.hh"
 #include "predictor/dead_block_predictor.hh"
@@ -92,19 +90,23 @@ struct SdbpConfig
 class SamplingDeadBlockPredictor final : public DeadBlockPredictor
 {
   public:
-    explicit SamplingDeadBlockPredictor(
+    SamplingDeadBlockPredictor(
+        std::uint32_t num_sets, std::uint32_t assoc,
         const SdbpConfig &cfg = SdbpConfig::paperDefault());
 
-    SDBP_HOT_PATH bool onAccess(std::uint32_t set,
+    SDBP_HOT_PATH bool onAccess(std::uint32_t set, int hit_way,
                                 const Access &a) override;
-    SDBP_HOT_PATH void onFill(std::uint32_t set,
+    SDBP_HOT_PATH void onFill(std::uint32_t set, std::uint32_t way,
                               const Access &a) override;
-    SDBP_HOT_PATH void onEvict(std::uint32_t set,
-                               const Access &a) override;
+    SDBP_HOT_PATH void onEvict(std::uint32_t set, std::uint32_t way,
+                               Addr block_addr) override;
 
     std::string name() const override { return "sampler"; }
-    std::uint64_t storageBits() const override;
-    std::uint64_t metadataBitsPerBlock() const override;
+    std::uint64_t storageBits() const override { return cfg_.storageBits(); }
+    std::uint64_t metadataBitsPerBlock() const override
+    {
+        return cfg_.metadataBitsPerBlock();
+    }
 
     /**
      * Base gauges plus lookup/update counters and the sampler's and
@@ -136,8 +138,8 @@ class SamplingDeadBlockPredictor final : public DeadBlockPredictor
     /**
      * Fault surface: the sampler tag array ("sampler.*") and the
      * skewed counter banks ("table.*") — exactly the Sec. IV-C
-     * storage budget.  The transient per-block map of the
-     * useSampler=false ablation is not SRAM and is not exposed.
+     * storage budget.  The per-block signature lane of the
+     * useSampler=false ablation is LLC metadata and is not exposed.
      */
     void registerFaultTargets(fault::FaultInjector &injector) override;
 
@@ -164,8 +166,9 @@ class SamplingDeadBlockPredictor final : public DeadBlockPredictor
     std::uint64_t updates_ = 0;
     std::uint64_t lookups_ = 0;
 
-    /** useSampler=false: per-resident-block last-touch signature. */
-    std::unordered_map<Addr, std::uint16_t> lastSig_;
+    /** useSampler=false: per-block last-touch signature (no lane
+     *  is allocated with the sampler on). */
+    FrameLane<std::uint16_t> lastSig_;
 };
 
 } // namespace sdbp

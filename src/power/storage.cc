@@ -67,18 +67,21 @@ std::vector<StorageModel::Entry>
 StorageModel::shipped(std::uint64_t num_blocks)
 {
     // Same order as budget_audit::shippedRows() — the pairing below
-    // is positional.
+    // is positional.  The shipped configurations are sized for the
+    // 2 MB LLC (2048 sets x 16 ways).
+    constexpr std::uint32_t sets = 2048, ways = 16;
     std::vector<std::unique_ptr<DeadBlockPredictor>> predictors;
     predictors.push_back(std::make_unique<SamplingDeadBlockPredictor>(
-        SdbpConfig::paperDefault()));
+        sets, ways, SdbpConfig::paperDefault()));
     predictors.push_back(std::make_unique<SamplingDeadBlockPredictor>(
-        SdbpConfig::singleTable()));
-    predictors.push_back(std::make_unique<RefTracePredictor>());
-    predictors.push_back(std::make_unique<CountingPredictor>());
-    predictors.push_back(std::make_unique<SamplingCountingPredictor>());
-    predictors.push_back(std::make_unique<AipPredictor>());
-    predictors.push_back(std::make_unique<TimeBasedPredictor>());
-    predictors.push_back(std::make_unique<BurstTracePredictor>());
+        sets, ways, SdbpConfig::singleTable()));
+    predictors.push_back(std::make_unique<RefTracePredictor>(sets, ways));
+    predictors.push_back(std::make_unique<CountingPredictor>(sets, ways));
+    predictors.push_back(
+        std::make_unique<SamplingCountingPredictor>(sets, ways));
+    predictors.push_back(std::make_unique<AipPredictor>(sets, ways));
+    predictors.push_back(std::make_unique<TimeBasedPredictor>(sets, ways));
+    predictors.push_back(std::make_unique<BurstTracePredictor>(sets, ways));
 
     constexpr auto rows = budget_audit::shippedRows();
     static_assert(rows.size() == 8,

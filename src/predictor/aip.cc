@@ -5,12 +5,17 @@
 
 #include "util/bitops.hh"
 #include "util/hash.hh"
+#include "util/logging.hh"
 
 namespace sdbp
 {
 
-AipPredictor::AipPredictor(const AipConfig &cfg) : cfg_(cfg)
+AipPredictor::AipPredictor(std::uint32_t num_sets, std::uint32_t assoc,
+                           const AipConfig &cfg)
+    : cfg_(cfg), meta_(num_sets, assoc)
 {
+    SDBP_DCHECK_EQ(cfg_.llcSets, num_sets,
+                   "AIP llcSets disagrees with the LLC geometry");
     assert(cfg_.rowBits + cfg_.colBits <= 24);
     table_.assign(std::size_t(1) << (cfg_.rowBits + cfg_.colBits),
                   TableEntry{});
@@ -36,45 +41,42 @@ AipPredictor::entryIndexOf(PC pc, Addr block_addr) const
 }
 
 bool
-AipPredictor::onAccess(std::uint32_t set, const Access &a)
+AipPredictor::onAccess(std::uint32_t set, int hit_way, const Access &a)
 {
     assert(set < cfg_.llcSets);
     const std::uint32_t now = ++setTicks_[set];
 
-    auto it = meta_.find(a.blockAddr());
-    if (it == meta_.end()) {
+    BlockMeta *m = meta_.find(set, hit_way);
+    if (!m) {
         // Dead-on-arrival: confident single-touch generations (a
         // learned max interval of zero means "never re-touched").
         const TableEntry &e = table_[entryIndexOf(a.pc, a.blockAddr())];
         return e.confident && e.maxInterval == 0;
     }
 
-    BlockMeta &m = it->second;
-    const std::uint32_t interval = now - m.lastTouch;
-    m.maxInterval = std::max(m.maxInterval, quantize(interval));
-    m.lastTouch = now;
+    const std::uint32_t interval = now - m->lastTouch;
+    m->maxInterval = std::max(m->maxInterval, quantize(interval));
+    m->lastTouch = now;
     // At touch time the elapsed interval is zero, so the block is
     // live by definition; deadness is reported via isDeadNow().
     return false;
 }
 
 bool
-AipPredictor::isDeadNow(std::uint32_t set, Addr block_addr) const
+AipPredictor::isDeadNow(std::uint32_t set, std::uint32_t way) const
 {
-    auto it = meta_.find(block_addr);
-    if (it == meta_.end())
+    const BlockMeta *m = meta_.find(set, static_cast<int>(way));
+    if (!m || !m->confident)
         return false;
-    const BlockMeta &m = it->second;
-    if (!m.confident)
-        return false;
-    const std::uint32_t elapsed = setTicks_[set] - m.lastTouch;
+    const std::uint32_t elapsed = setTicks_[set] - m->lastTouch;
     // Dead once the elapsed interval can no longer be within the
     // learned (quantized) maximum.
-    return quantize(elapsed) > m.threshold;
+    return quantize(elapsed) > m->threshold;
 }
 
 void
-AipPredictor::onFill(std::uint32_t set, const Access &a)
+AipPredictor::onFill(std::uint32_t set, std::uint32_t way,
+                     const Access &a)
 {
     BlockMeta m;
     m.entryIndex = entryIndexOf(a.pc, a.blockAddr());
@@ -83,33 +85,18 @@ AipPredictor::onFill(std::uint32_t set, const Access &a)
     const TableEntry &e = table_[m.entryIndex];
     m.threshold = e.maxInterval;
     m.confident = e.confident;
-    meta_[a.blockAddr()] = m;
+    meta_.fill(set, way, m);
 }
 
 void
-AipPredictor::onEvict(std::uint32_t set, const Access &a)
+AipPredictor::onEvict(std::uint32_t set, std::uint32_t way, Addr)
 {
-    (void)set;
-    auto it = meta_.find(a.blockAddr());
-    if (it == meta_.end())
+    const std::optional<BlockMeta> m = meta_.take(set, way);
+    if (!m)
         return;
-    const BlockMeta &m = it->second;
-    TableEntry &e = table_[m.entryIndex];
-    e.confident = (e.maxInterval == m.maxInterval);
-    e.maxInterval = m.maxInterval;
-    meta_.erase(it);
-}
-
-std::uint64_t
-AipPredictor::storageBits() const
-{
-    return cfg_.storageBits();
-}
-
-std::uint64_t
-AipPredictor::metadataBitsPerBlock() const
-{
-    return cfg_.metadataBitsPerBlock();
+    TableEntry &e = table_[m->entryIndex];
+    e.confident = (e.maxInterval == m->maxInterval);
+    e.maxInterval = m->maxInterval;
 }
 
 } // namespace sdbp

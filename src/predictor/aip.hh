@@ -16,7 +16,6 @@
 #ifndef SDBP_PREDICTOR_AIP_HH
 #define SDBP_PREDICTOR_AIP_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "predictor/dead_block_predictor.hh"
@@ -54,24 +53,27 @@ struct AipConfig
     }
 };
 
-class AipPredictor final : public DeadBlockPredictor,
-                           public LivenessProbe
+class AipPredictor final : public DeadBlockPredictor
 {
   public:
-    explicit AipPredictor(const AipConfig &cfg = {});
+    AipPredictor(std::uint32_t num_sets, std::uint32_t assoc,
+                 const AipConfig &cfg = {});
 
-    bool onAccess(std::uint32_t set, const Access &a) override;
-    void onFill(std::uint32_t set, const Access &a) override;
-    void onEvict(std::uint32_t set, const Access &a) override;
-    bool isDeadNow(std::uint32_t set, Addr block_addr) const override;
-    const LivenessProbe *livenessProbe() const override
-    {
-        return this;
-    }
+    SDBP_HOT_PATH bool onAccess(std::uint32_t set, int hit_way,
+                                const Access &a) override;
+    SDBP_HOT_PATH void onFill(std::uint32_t set, std::uint32_t way,
+                              const Access &a) override;
+    SDBP_HOT_PATH void onEvict(std::uint32_t set, std::uint32_t way,
+                               Addr block_addr) override;
+    SDBP_HOT_PATH bool isDeadNow(std::uint32_t set,
+                                 std::uint32_t way) const override;
 
     std::string name() const override { return "aip"; }
-    std::uint64_t storageBits() const override;
-    std::uint64_t metadataBitsPerBlock() const override;
+    std::uint64_t storageBits() const override { return cfg_.storageBits(); }
+    std::uint64_t metadataBitsPerBlock() const override
+    {
+        return cfg_.metadataBitsPerBlock();
+    }
 
     const AipConfig &config() const { return cfg_; }
 
@@ -102,7 +104,7 @@ class AipPredictor final : public DeadBlockPredictor,
     std::vector<TableEntry> table_;
     /** Per-set access counters (the predictor's clock). */
     std::vector<std::uint32_t> setTicks_;
-    std::unordered_map<Addr, BlockMeta> meta_;
+    FrameLane<BlockMeta> meta_;
 };
 
 } // namespace sdbp

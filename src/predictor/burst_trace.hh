@@ -15,7 +15,6 @@
 #ifndef SDBP_PREDICTOR_BURST_TRACE_HH
 #define SDBP_PREDICTOR_BURST_TRACE_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "predictor/dead_block_predictor.hh"
@@ -56,15 +55,22 @@ struct BurstTraceConfig
 class BurstTracePredictor final : public DeadBlockPredictor
 {
   public:
-    explicit BurstTracePredictor(const BurstTraceConfig &cfg = {});
+    BurstTracePredictor(std::uint32_t num_sets, std::uint32_t assoc,
+                        const BurstTraceConfig &cfg = {});
 
-    bool onAccess(std::uint32_t set, const Access &a) override;
-    void onFill(std::uint32_t set, const Access &a) override;
-    void onEvict(std::uint32_t set, const Access &a) override;
+    SDBP_HOT_PATH bool onAccess(std::uint32_t set, int hit_way,
+                                const Access &a) override;
+    SDBP_HOT_PATH void onFill(std::uint32_t set, std::uint32_t way,
+                              const Access &a) override;
+    SDBP_HOT_PATH void onEvict(std::uint32_t set, std::uint32_t way,
+                               Addr block_addr) override;
 
     std::string name() const override { return "burst-trace"; }
-    std::uint64_t storageBits() const override;
-    std::uint64_t metadataBitsPerBlock() const override;
+    std::uint64_t storageBits() const override { return cfg_.storageBits(); }
+    std::uint64_t metadataBitsPerBlock() const override
+    {
+        return cfg_.metadataBitsPerBlock();
+    }
 
     /** Number of burst boundaries observed (test hook). */
     std::uint64_t bursts() const { return bursts_; }
@@ -83,7 +89,8 @@ class BurstTracePredictor final : public DeadBlockPredictor
     std::vector<std::uint8_t> table_;
     /** Most recently accessed block per set (burst detection). */
     std::vector<Addr> lastBlock_;
-    std::unordered_map<Addr, std::uint16_t> sig_;
+    /** Per-block burst-trace signature. */
+    FrameLane<std::uint16_t> sig_;
     std::uint64_t bursts_ = 0;
     std::uint64_t filtered_ = 0;
 };

@@ -10,8 +10,10 @@
 namespace sdbp
 {
 
-CountingPredictor::CountingPredictor(const CountingConfig &cfg)
-    : cfg_(cfg)
+CountingPredictor::CountingPredictor(std::uint32_t num_sets,
+                                     std::uint32_t assoc,
+                                     const CountingConfig &cfg)
+    : cfg_(cfg), meta_(num_sets, assoc)
 {
     assert(cfg_.rowBits + cfg_.colBits <= 24);
     counterMax_ = (1u << cfg_.counterBits) - 1;
@@ -28,27 +30,26 @@ CountingPredictor::entryIndexOf(PC pc, Addr block_addr) const
 }
 
 bool
-CountingPredictor::onAccess(std::uint32_t set, const Access &a)
+CountingPredictor::onAccess(std::uint32_t set, int hit_way,
+                            const Access &a)
 {
-    (void)set;
-    auto it = meta_.find(a.blockAddr());
-    if (it == meta_.end()) {
+    BlockMeta *m = meta_.find(set, hit_way);
+    if (!m) {
         // Dead-on-arrival query: dead if this <PC, block> pair's
         // generations reliably consist of a single access.
         const TableEntry &e = table_[entryIndexOf(a.pc, a.blockAddr())];
         return e.confident && e.count <= 1;
     }
 
-    BlockMeta &m = it->second;
-    if (m.count < counterMax_)
-        ++m.count;
-    return m.confident && m.count >= m.threshold;
+    if (m->count < counterMax_)
+        ++m->count;
+    return m->confident && m->count >= m->threshold;
 }
 
 void
-CountingPredictor::onFill(std::uint32_t set, const Access &a)
+CountingPredictor::onFill(std::uint32_t set, std::uint32_t way,
+                          const Access &a)
 {
-    (void)set;
     const std::uint32_t idx = entryIndexOf(a.pc, a.blockAddr());
     const TableEntry &e = table_[idx];
     BlockMeta m;
@@ -56,34 +57,19 @@ CountingPredictor::onFill(std::uint32_t set, const Access &a)
     m.count = 1; // the fill access itself
     m.threshold = e.count;
     m.confident = e.confident;
-    meta_[a.blockAddr()] = m;
+    meta_.fill(set, way, m);
 }
 
 void
-CountingPredictor::onEvict(std::uint32_t set, const Access &a)
+CountingPredictor::onEvict(std::uint32_t set, std::uint32_t way, Addr)
 {
-    (void)set;
-    auto it = meta_.find(a.blockAddr());
-    if (it == meta_.end())
+    const std::optional<BlockMeta> m = meta_.take(set, way);
+    if (!m)
         return;
-    const BlockMeta &m = it->second;
-    TableEntry &e = table_[m.entryIndex];
+    TableEntry &e = table_[m->entryIndex];
     // Confidence is set when two consecutive generations agree.
-    e.confident = (e.count == m.count);
-    e.count = m.count;
-    meta_.erase(it);
-}
-
-std::uint64_t
-CountingPredictor::storageBits() const
-{
-    return cfg_.storageBits();
-}
-
-std::uint64_t
-CountingPredictor::metadataBitsPerBlock() const
-{
-    return cfg_.metadataBitsPerBlock();
+    e.confident = (e.count == m->count);
+    e.count = m->count;
 }
 
 void

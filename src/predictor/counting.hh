@@ -13,7 +13,6 @@
 #ifndef SDBP_PREDICTOR_COUNTING_HH
 #define SDBP_PREDICTOR_COUNTING_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "predictor/dead_block_predictor.hh"
@@ -56,15 +55,22 @@ struct CountingConfig
 class CountingPredictor final : public DeadBlockPredictor
 {
   public:
-    explicit CountingPredictor(const CountingConfig &cfg = {});
+    CountingPredictor(std::uint32_t num_sets, std::uint32_t assoc,
+                      const CountingConfig &cfg = {});
 
-    bool onAccess(std::uint32_t set, const Access &a) override;
-    void onFill(std::uint32_t set, const Access &a) override;
-    void onEvict(std::uint32_t set, const Access &a) override;
+    SDBP_HOT_PATH bool onAccess(std::uint32_t set, int hit_way,
+                                const Access &a) override;
+    SDBP_HOT_PATH void onFill(std::uint32_t set, std::uint32_t way,
+                              const Access &a) override;
+    SDBP_HOT_PATH void onEvict(std::uint32_t set, std::uint32_t way,
+                               Addr block_addr) override;
 
     std::string name() const override { return "counting"; }
-    std::uint64_t storageBits() const override;
-    std::uint64_t metadataBitsPerBlock() const override;
+    std::uint64_t storageBits() const override { return cfg_.storageBits(); }
+    std::uint64_t metadataBitsPerBlock() const override
+    {
+        return cfg_.metadataBitsPerBlock();
+    }
 
     const CountingConfig &config() const { return cfg_; }
 
@@ -101,7 +107,7 @@ class CountingPredictor final : public DeadBlockPredictor
     CountingConfig cfg_;
     unsigned counterMax_;
     std::vector<TableEntry> table_;
-    std::unordered_map<Addr, BlockMeta> meta_;
+    FrameLane<BlockMeta> meta_;
 };
 
 } // namespace sdbp

@@ -9,8 +9,10 @@
 namespace sdbp
 {
 
-RefTracePredictor::RefTracePredictor(const RefTraceConfig &cfg)
-    : cfg_(cfg)
+RefTracePredictor::RefTracePredictor(std::uint32_t num_sets,
+                                     std::uint32_t assoc,
+                                     const RefTraceConfig &cfg)
+    : cfg_(cfg), sig_(num_sets, assoc)
 {
     assert(cfg_.signatureBits >= 4 && cfg_.signatureBits <= 20);
     counterMax_ = (1u << cfg_.counterBits) - 1;
@@ -18,65 +20,50 @@ RefTracePredictor::RefTracePredictor(const RefTraceConfig &cfg)
 }
 
 bool
-RefTracePredictor::onAccess(std::uint32_t set, const Access &a)
+RefTracePredictor::onAccess(std::uint32_t set, int hit_way,
+                            const Access &a)
 {
-    (void)set;
     const std::uint64_t pc_sig = pcSignature(a.pc);
-    auto it = sig_.find(a.blockAddr());
-    if (it == sig_.end()) {
+    std::uint16_t *sig = sig_.find(set, hit_way);
+    if (!sig) {
         // Dead-on-arrival query: the trace so far is just this PC.
         return table_[pc_sig] >= cfg_.threshold;
     }
 
     // The old signature did not end the generation: train it toward
     // "live", then extend the trace with this access.
-    auto &c = table_[it->second];
+    auto &c = table_[*sig];
     if (c > 0)
         --c;
-    const auto new_sig = static_cast<std::uint16_t>(
-        (it->second + pc_sig) & mask(cfg_.signatureBits));
-    it->second = new_sig;
-    return table_[new_sig] >= cfg_.threshold;
+    *sig = static_cast<std::uint16_t>((*sig + pc_sig) &
+                                      mask(cfg_.signatureBits));
+    return table_[*sig] >= cfg_.threshold;
 }
 
 void
-RefTracePredictor::onFill(std::uint32_t set, const Access &a)
+RefTracePredictor::onFill(std::uint32_t set, std::uint32_t way,
+                          const Access &a)
 {
-    (void)set;
-    sig_[a.blockAddr()] = static_cast<std::uint16_t>(pcSignature(a.pc));
+    sig_.fill(set, way, static_cast<std::uint16_t>(pcSignature(a.pc)));
 }
 
 void
-RefTracePredictor::onEvict(std::uint32_t set, const Access &a)
+RefTracePredictor::onEvict(std::uint32_t set, std::uint32_t way, Addr)
 {
-    (void)set;
-    auto it = sig_.find(a.blockAddr());
-    if (it == sig_.end())
+    const std::optional<std::uint16_t> sig = sig_.take(set, way);
+    if (!sig)
         return;
     // The final signature ended a generation: train toward "dead".
-    auto &c = table_[it->second];
+    auto &c = table_[*sig];
     if (c < counterMax_)
         ++c;
-    sig_.erase(it);
 }
 
 std::uint64_t
-RefTracePredictor::signatureOf(Addr block_addr) const
+RefTracePredictor::signatureOf(std::uint32_t set, std::uint32_t way) const
 {
-    auto it = sig_.find(block_addr);
-    return it == sig_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-RefTracePredictor::storageBits() const
-{
-    return cfg_.storageBits();
-}
-
-std::uint64_t
-RefTracePredictor::metadataBitsPerBlock() const
-{
-    return cfg_.metadataBitsPerBlock();
+    const std::uint16_t *sig = sig_.find(set, static_cast<int>(way));
+    return sig ? *sig : 0;
 }
 
 void

@@ -12,7 +12,6 @@
 #ifndef SDBP_PREDICTOR_REFTRACE_HH
 #define SDBP_PREDICTOR_REFTRACE_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "predictor/dead_block_predictor.hh"
@@ -53,24 +52,32 @@ struct RefTraceConfig
 class RefTracePredictor final : public DeadBlockPredictor
 {
   public:
-    explicit RefTracePredictor(const RefTraceConfig &cfg = {});
+    RefTracePredictor(std::uint32_t num_sets, std::uint32_t assoc,
+                      const RefTraceConfig &cfg = {});
 
-    bool onAccess(std::uint32_t set, const Access &a) override;
-    void onFill(std::uint32_t set, const Access &a) override;
-    void onEvict(std::uint32_t set, const Access &a) override;
+    SDBP_HOT_PATH bool onAccess(std::uint32_t set, int hit_way,
+                                const Access &a) override;
+    SDBP_HOT_PATH void onFill(std::uint32_t set, std::uint32_t way,
+                              const Access &a) override;
+    SDBP_HOT_PATH void onEvict(std::uint32_t set, std::uint32_t way,
+                               Addr block_addr) override;
 
     std::string name() const override { return "reftrace"; }
-    std::uint64_t storageBits() const override;
-    std::uint64_t metadataBitsPerBlock() const override;
+    std::uint64_t storageBits() const override { return cfg_.storageBits(); }
+    std::uint64_t metadataBitsPerBlock() const override
+    {
+        return cfg_.metadataBitsPerBlock();
+    }
 
-    /** Current signature of a resident block (test hook). */
-    std::uint64_t signatureOf(Addr block_addr) const;
+    /** Current signature of the block in (set, way); 0 when the
+     *  frame has none (test hook). */
+    std::uint64_t signatureOf(std::uint32_t set, std::uint32_t way) const;
 
     const RefTraceConfig &config() const { return cfg_; }
 
     /**
      * Fault surface: the history table's saturating counters
-     * ("table.counter").  The per-block signature map models
+     * ("table.counter").  The per-block signature lane models
      * LLC-side metadata, not predictor SRAM, so it is not exposed.
      */
     void registerFaultTargets(fault::FaultInjector &injector) override;
@@ -88,12 +95,8 @@ class RefTracePredictor final : public DeadBlockPredictor
     unsigned counterMax_;
     RefTraceConfig cfg_;
     std::vector<std::uint8_t> table_;
-    /**
-     * Per-resident-block signature.  In hardware this lives as
-     * metadata beside every cache block (the 64 KB of Table I); the
-     * model keys it by block address, which is equivalent.
-     */
-    std::unordered_map<Addr, std::uint16_t> sig_;
+    /** Per-block signature: the 64 KB of Table I's metadata. */
+    FrameLane<std::uint16_t> sig_;
 };
 
 } // namespace sdbp

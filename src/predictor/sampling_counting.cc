@@ -3,14 +3,19 @@
 #include <cassert>
 
 #include "util/bitops.hh"
+#include "util/logging.hh"
 
 namespace sdbp
 {
 
 SamplingCountingPredictor::SamplingCountingPredictor(
+    std::uint32_t num_sets, std::uint32_t assoc,
     const SamplingCountingConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), meta_(num_sets, assoc)
 {
+    SDBP_DCHECK_EQ(cfg_.llcSets, num_sets,
+                   "sampling-counting llcSets disagrees with the LLC "
+                   "geometry");
     assert(cfg_.llcSets >= cfg_.samplerSets);
     counterMax_ = (1u << cfg_.counterBits) - 1;
     setStride_ = cfg_.llcSets / cfg_.samplerSets;
@@ -94,7 +99,8 @@ SamplingCountingPredictor::samplerAccess(std::uint32_t sampler_set,
 }
 
 bool
-SamplingCountingPredictor::onAccess(std::uint32_t set, const Access &a)
+SamplingCountingPredictor::onAccess(std::uint32_t set, int hit_way,
+                                    const Access &a)
 {
     const auto sig = static_cast<std::uint16_t>(signature(a.pc));
 
@@ -104,47 +110,34 @@ SamplingCountingPredictor::onAccess(std::uint32_t set, const Access &a)
         samplerAccess(set / setStride_, partial_tag, sig);
     }
 
-    auto it = meta_.find(a.blockAddr());
-    if (it == meta_.end()) {
+    BlockMeta *m = meta_.find(set, hit_way);
+    if (!m) {
         // Dead-on-arrival query: single-access generations bypass.
         const TableEntry &e = table_[sig];
         return e.confidence >= cfg_.confidenceThreshold &&
             e.count == 1;
     }
-    BlockMeta &m = it->second;
-    if (m.count < counterMax_)
-        ++m.count;
-    return predictFromTable(m.fillSig, m.count);
+    if (m->count < counterMax_)
+        ++m->count;
+    return predictFromTable(m->fillSig, m->count);
 }
 
 void
-SamplingCountingPredictor::onFill(std::uint32_t set, const Access &a)
+SamplingCountingPredictor::onFill(std::uint32_t set, std::uint32_t way,
+                                  const Access &a)
 {
-    (void)set;
     BlockMeta m;
     m.fillSig = static_cast<std::uint16_t>(signature(a.pc));
     m.count = 1;
-    meta_[a.blockAddr()] = m;
+    meta_.fill(set, way, m);
 }
 
 void
-SamplingCountingPredictor::onEvict(std::uint32_t set, const Access &a)
+SamplingCountingPredictor::onEvict(std::uint32_t set, std::uint32_t way,
+                                   Addr)
 {
-    (void)set;
     // The decoupling: cache evictions do NOT train the table.
-    meta_.erase(a.blockAddr());
-}
-
-std::uint64_t
-SamplingCountingPredictor::storageBits() const
-{
-    return cfg_.storageBits();
-}
-
-std::uint64_t
-SamplingCountingPredictor::metadataBitsPerBlock() const
-{
-    return cfg_.metadataBitsPerBlock();
+    meta_.take(set, way);
 }
 
 } // namespace sdbp

@@ -15,7 +15,6 @@
 #ifndef SDBP_PREDICTOR_SAMPLING_COUNTING_HH
 #define SDBP_PREDICTOR_SAMPLING_COUNTING_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "predictor/dead_block_predictor.hh"
@@ -70,16 +69,23 @@ struct SamplingCountingConfig
 class SamplingCountingPredictor final : public DeadBlockPredictor
 {
   public:
-    explicit SamplingCountingPredictor(
-        const SamplingCountingConfig &cfg = {});
+    SamplingCountingPredictor(std::uint32_t num_sets,
+                              std::uint32_t assoc,
+                              const SamplingCountingConfig &cfg = {});
 
-    bool onAccess(std::uint32_t set, const Access &a) override;
-    void onFill(std::uint32_t set, const Access &a) override;
-    void onEvict(std::uint32_t set, const Access &a) override;
+    SDBP_HOT_PATH bool onAccess(std::uint32_t set, int hit_way,
+                                const Access &a) override;
+    SDBP_HOT_PATH void onFill(std::uint32_t set, std::uint32_t way,
+                              const Access &a) override;
+    SDBP_HOT_PATH void onEvict(std::uint32_t set, std::uint32_t way,
+                               Addr block_addr) override;
 
     std::string name() const override { return "sampling-counting"; }
-    std::uint64_t storageBits() const override;
-    std::uint64_t metadataBitsPerBlock() const override;
+    std::uint64_t storageBits() const override { return cfg_.storageBits(); }
+    std::uint64_t metadataBitsPerBlock() const override
+    {
+        return cfg_.metadataBitsPerBlock();
+    }
 
     bool isSampledSet(std::uint32_t set) const;
     const SamplingCountingConfig &config() const { return cfg_; }
@@ -122,7 +128,7 @@ class SamplingCountingPredictor final : public DeadBlockPredictor
     std::uint32_t setStride_;
     std::vector<TableEntry> table_;
     std::vector<SamplerEntry> sampler_;
-    std::unordered_map<Addr, BlockMeta> meta_;
+    FrameLane<BlockMeta> meta_;
 };
 
 } // namespace sdbp

@@ -13,7 +13,6 @@
 #ifndef SDBP_PREDICTOR_TIME_BASED_HH
 #define SDBP_PREDICTOR_TIME_BASED_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "predictor/dead_block_predictor.hh"
@@ -51,24 +50,27 @@ struct TimeBasedConfig
     }
 };
 
-class TimeBasedPredictor final : public DeadBlockPredictor,
-                                 public LivenessProbe
+class TimeBasedPredictor final : public DeadBlockPredictor
 {
   public:
-    explicit TimeBasedPredictor(const TimeBasedConfig &cfg = {});
+    TimeBasedPredictor(std::uint32_t num_sets, std::uint32_t assoc,
+                       const TimeBasedConfig &cfg = {});
 
-    bool onAccess(std::uint32_t set, const Access &a) override;
-    void onFill(std::uint32_t set, const Access &a) override;
-    void onEvict(std::uint32_t set, const Access &a) override;
-    bool isDeadNow(std::uint32_t set, Addr block_addr) const override;
-    const LivenessProbe *livenessProbe() const override
-    {
-        return this;
-    }
+    SDBP_HOT_PATH bool onAccess(std::uint32_t set, int hit_way,
+                                const Access &a) override;
+    SDBP_HOT_PATH void onFill(std::uint32_t set, std::uint32_t way,
+                              const Access &a) override;
+    SDBP_HOT_PATH void onEvict(std::uint32_t set, std::uint32_t way,
+                               Addr block_addr) override;
+    SDBP_HOT_PATH bool isDeadNow(std::uint32_t set,
+                                 std::uint32_t way) const override;
 
     std::string name() const override { return "time-based"; }
-    std::uint64_t storageBits() const override;
-    std::uint64_t metadataBitsPerBlock() const override;
+    std::uint64_t storageBits() const override { return cfg_.storageBits(); }
+    std::uint64_t metadataBitsPerBlock() const override
+    {
+        return cfg_.metadataBitsPerBlock();
+    }
 
     /** Learned live time for a PC (test hook; 0 = unknown). */
     std::uint32_t learnedLiveTime(PC pc) const;
@@ -93,7 +95,7 @@ class TimeBasedPredictor final : public DeadBlockPredictor,
     /** Exponential-average live time per fill-PC signature. */
     std::vector<std::uint32_t> liveTime_;
     std::vector<std::uint32_t> setTicks_;
-    std::unordered_map<Addr, BlockMeta> meta_;
+    FrameLane<BlockMeta> meta_;
 };
 
 } // namespace sdbp

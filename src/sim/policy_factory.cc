@@ -135,16 +135,18 @@ forLlc(std::uint32_t num_sets)
 }
 
 /**
- * DBRB over @p inner and a Pred built from @p pred_args.  The
- * predictor is constructed after the inner policy, so their arena
- * lanes sit in walk order (DESIGN.md §15).
+ * DBRB over @p inner and a Pred built for the inner policy's geometry
+ * from @p pred_cfg (none: the predictor's defaults).  The predictor
+ * is constructed after the inner policy, so their arena lanes sit in
+ * walk order (DESIGN.md §15).
  */
-template <class Pred, class Inner, class... A>
+template <class Pred, class Inner, class... Cfg>
 std::unique_ptr<BasicDeadBlockPolicy<Inner, Pred>>
 dbrb(std::unique_ptr<Inner> inner, const PolicyOptions &opts,
-     A &&...pred_args)
+     const Cfg &...pred_cfg)
 {
-    auto pred = std::make_unique<Pred>(std::forward<A>(pred_args)...);
+    auto pred = std::make_unique<Pred>(inner->numSets(), inner->assoc(),
+                                       pred_cfg...);
     return std::make_unique<BasicDeadBlockPolicy<Inner, Pred>>(
         std::move(inner), std::move(pred), opts.dbrb);
 }

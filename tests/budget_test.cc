@@ -66,13 +66,15 @@ TEST(Budget, PaperDefaultAndSingleTableTotals)
 {
     // The two SDBP configs the benches ship, cross-checked against
     // live predictor instances end to end.
-    const SamplingDeadBlockPredictor paper{SdbpConfig::paperDefault()};
+    const SamplingDeadBlockPredictor paper{2048, 16,
+                                           SdbpConfig::paperDefault()};
     EXPECT_EQ(paper.storageBits(),
               SdbpConfig::paperDefault().storageBits());
     EXPECT_EQ(paper.storageBits(), 38400u);
     EXPECT_EQ(paper.metadataBitsPerBlock(), 1u);
 
-    const SamplingDeadBlockPredictor single{SdbpConfig::singleTable()};
+    const SamplingDeadBlockPredictor single{2048, 16,
+                                            SdbpConfig::singleTable()};
     EXPECT_EQ(single.storageBits(),
               SdbpConfig::singleTable().storageBits());
     // One 16384-entry 2-bit bank + the unchanged sampler tag array.
@@ -81,7 +83,7 @@ TEST(Budget, PaperDefaultAndSingleTableTotals)
 
 TEST(Budget, StorageOfAgreesWithStorageModel)
 {
-    RefTracePredictor reftrace;
+    RefTracePredictor reftrace(2048, 16);
     const auto direct =
         storageOf(reftrace, budget_audit::llcBlocks2MB);
     const auto entries =
@@ -92,12 +94,13 @@ TEST(Budget, StorageOfAgreesWithStorageModel)
 
 TEST(Invariants, CleanStructuresPassAudit)
 {
-    SamplingDeadBlockPredictor p;
+    SamplingDeadBlockPredictor p(2048, 16);
     Rng rng(42);
     for (int i = 0; i < 200000; ++i) {
         const auto addr = rng.below(1 << 20);
         const auto pc = 0x400000 + rng.below(256) * 4;
-        p.onAccess(static_cast<std::uint32_t>(addr & 2047), Access::atBlock(addr, pc, 0));
+        p.onAccess(static_cast<std::uint32_t>(addr & 2047), -1,
+                   Access::atBlock(addr, pc, 0));
     }
     p.auditInvariants();
 }

@@ -257,9 +257,12 @@ TEST(SamplerTest, ResetClearsEntries)
 
 // ---- SDBP ----
 
+/** onAccess's hit way on a miss. */
+constexpr int kMiss = -1;
+
 TEST(SdbpTest, SampledSetsAreEverySixtyFourth)
 {
-    SamplingDeadBlockPredictor p(SdbpConfig::paperDefault(2048));
+    SamplingDeadBlockPredictor p(2048, 16, SdbpConfig::paperDefault(2048));
     unsigned sampled = 0;
     for (std::uint32_t set = 0; set < 2048; ++set)
         sampled += p.isSampledSet(set);
@@ -271,11 +274,11 @@ TEST(SdbpTest, SampledSetsAreEverySixtyFourth)
 
 TEST(SdbpTest, OnlySampledSetsUpdateState)
 {
-    SamplingDeadBlockPredictor p;
-    p.onAccess(1, Access::atBlock(0x10, 0x400000, 0));
-    p.onAccess(63, Access::atBlock(0x20, 0x400000, 0));
+    SamplingDeadBlockPredictor p(2048, 16);
+    p.onAccess(1, kMiss, Access::atBlock(0x10, 0x400000, 0));
+    p.onAccess(63, kMiss, Access::atBlock(0x20, 0x400000, 0));
     EXPECT_EQ(p.updates(), 0u);
-    p.onAccess(64, Access::atBlock(0x30, 0x400000, 0));
+    p.onAccess(64, kMiss, Access::atBlock(0x30, 0x400000, 0));
     EXPECT_EQ(p.updates(), 1u);
     EXPECT_EQ(p.lookups(), 3u);
 }
@@ -285,17 +288,17 @@ TEST(SdbpTest, LearnsDeadPcFromSampledEvictions)
     SdbpConfig cfg = SdbpConfig::paperDefault(64);
     cfg.sampler.numSets = 1;
     cfg.sampler.assoc = 2;
-    SamplingDeadBlockPredictor p(cfg);
+    SamplingDeadBlockPredictor p(cfg.llcSets, 16, cfg);
     const PC dead_pc = 0x400abc;
     // Stream distinct blocks through sampled set 0 with one PC:
     // every block is touched once and then evicted from the tiny
     // sampler, training the PC as a last-touch PC.
     bool predicted = false;
     for (Addr a = 0; a < 64; ++a)
-        predicted = p.onAccess(0, Access::atBlock(a << 6, dead_pc, 0));
+        predicted = p.onAccess(0, kMiss, Access::atBlock(a << 6, dead_pc, 0));
     EXPECT_TRUE(predicted);
     // An unrelated PC stays live.
-    EXPECT_FALSE(p.onAccess(0, Access::atBlock(0x9999 << 6, 0x500000, 0)));
+    EXPECT_FALSE(p.onAccess(0, kMiss, Access::atBlock(0x9999 << 6, 0x500000, 0)));
 }
 
 TEST(SdbpTest, MispredictedDeadPcRecovers)
@@ -307,45 +310,45 @@ TEST(SdbpTest, MispredictedDeadPcRecovers)
     SdbpConfig cfg = SdbpConfig::paperDefault(64);
     cfg.sampler.numSets = 1;
     cfg.sampler.assoc = 8;
-    SamplingDeadBlockPredictor p(cfg);
+    SamplingDeadBlockPredictor p(cfg.llcSets, 16, cfg);
     const PC hot_pc = 0x400abc;
     const PC stream_pc = 0x500000;
     // Phase 1: the hot PC streams once over many blocks -> trained
     // dead.
     for (Addr a = 0; a < 64; ++a)
-        p.onAccess(0, Access::atBlock(a << 6, hot_pc, 0));
-    EXPECT_TRUE(p.onAccess(0, Access::atBlock(0x10000, hot_pc, 0)));
+        p.onAccess(0, kMiss, Access::atBlock(a << 6, hot_pc, 0));
+    EXPECT_TRUE(p.onAccess(0, kMiss, Access::atBlock(0x10000, hot_pc, 0)));
     // Phase 2: the hot PC now cycles a small resident set while a
     // streaming PC provides churn fodder.
     Addr stream = 0x900000;
     bool hot_pred = true;
     for (int i = 0; i < 300; ++i) {
         for (Addr a = 0; a < 3; ++a)
-            hot_pred = p.onAccess(0, Access::atBlock(0x20000 + (a << 6), hot_pc, 0));
-        p.onAccess(0, Access::atBlock(stream, stream_pc, 0));
+            hot_pred = p.onAccess(0, kMiss, Access::atBlock(0x20000 + (a << 6), hot_pc, 0));
+        p.onAccess(0, kMiss, Access::atBlock(stream, stream_pc, 0));
         stream += 64;
     }
     EXPECT_FALSE(hot_pred);
     // The streaming PC stays dead.
-    EXPECT_TRUE(p.onAccess(0, Access::atBlock(stream, stream_pc, 0)));
+    EXPECT_TRUE(p.onAccess(0, kMiss, Access::atBlock(stream, stream_pc, 0)));
 }
 
 TEST(SdbpTest, PredictionIsPurelyPcBased)
 {
-    SamplingDeadBlockPredictor p;
+    SamplingDeadBlockPredictor p(2048, 16);
     // Saturate a PC via direct table training.
     const std::uint64_t sig = p.signature(0x400abc);
     for (int i = 0; i < 3; ++i)
         p.table().increment(sig);
     // Any set, any address: the PC alone decides.
-    EXPECT_TRUE(p.onAccess(5, Access::atBlock(0xdead00, 0x400abc, 0)));
-    EXPECT_TRUE(p.onAccess(1999, Access::atBlock(0x123456, 0x400abc, 3)));
-    EXPECT_FALSE(p.onAccess(5, Access::atBlock(0xdead00, 0x400b00, 0)));
+    EXPECT_TRUE(p.onAccess(5, kMiss, Access::atBlock(0xdead00, 0x400abc, 0)));
+    EXPECT_TRUE(p.onAccess(1999, kMiss, Access::atBlock(0x123456, 0x400abc, 3)));
+    EXPECT_FALSE(p.onAccess(5, kMiss, Access::atBlock(0xdead00, 0x400b00, 0)));
 }
 
 TEST(SdbpTest, StorageUnderOnePercentOfLlc)
 {
-    SamplingDeadBlockPredictor p;
+    SamplingDeadBlockPredictor p(2048, 16);
     // Tables 3 KB + sampler 1.6875 KB, plus 1 bit per block.
     const double predictor_kb =
         static_cast<double>(p.storageBits()) / 8 / 1024;
@@ -358,16 +361,16 @@ TEST(SdbpTest, NoSamplerAblationTrainsOnEverySet)
 {
     SdbpConfig cfg = SdbpConfig::singleTable(64);
     cfg.useSampler = false;
-    SamplingDeadBlockPredictor p(cfg);
+    SamplingDeadBlockPredictor p(cfg.llcSets, 16, cfg);
     const PC pc = 0x400abc;
     // fill/evict cycles on arbitrary (unsampled in the default
     // scheme) sets still train.
     for (Addr a = 0; a < 4; ++a) {
-        p.onAccess(17, Access::atBlock(a, pc, 0));
-        p.onFill(17, Access::atBlock(a, pc));
-        p.onEvict(17, Access::atBlock(a));
+        p.onAccess(17, kMiss, Access::atBlock(a, pc, 0));
+        p.onFill(17, 0, Access::atBlock(a, pc));
+        p.onEvict(17, 0, a);
     }
-    EXPECT_TRUE(p.onAccess(23, Access::atBlock(0x999, pc, 0)));
+    EXPECT_TRUE(p.onAccess(23, kMiss, Access::atBlock(0x999, pc, 0)));
     EXPECT_EQ(p.updates(), 5u); // every access updates
 }
 
@@ -379,15 +382,15 @@ TEST(SdbpTest, PartialTagsDoNotAliasAcrossAddressSpaces)
     SdbpConfig cfg = SdbpConfig::paperDefault(64);
     cfg.sampler.numSets = 1;
     cfg.sampler.assoc = 4;
-    SamplingDeadBlockPredictor p(cfg);
+    SamplingDeadBlockPredictor p(cfg.llcSets, 16, cfg);
     const Addr a = (Addr(1) << 34) | 0x40; // same low bits,
     const Addr b = (Addr(2) << 34) | 0x40; // different space
-    p.onAccess(0, Access::atBlock(a, 0x400000, 0));
+    p.onAccess(0, kMiss, Access::atBlock(a, 0x400000, 0));
     const auto hits_before = p.sampler().hits();
-    p.onAccess(0, Access::atBlock(b, 0x500000, 1));
+    p.onAccess(0, kMiss, Access::atBlock(b, 0x500000, 1));
     EXPECT_EQ(p.sampler().hits(), hits_before); // no false match
     // The genuine block still hits.
-    p.onAccess(0, Access::atBlock(a, 0x400000, 0));
+    p.onAccess(0, kMiss, Access::atBlock(a, 0x400000, 0));
     EXPECT_EQ(p.sampler().hits(), hits_before + 1);
 }
 
@@ -395,12 +398,12 @@ TEST(SdbpTest, UpdateFractionMatchesSampledSetRatio)
 {
     // Sec. III-A: with 32 sampled sets of 2048, ~1.6% of uniformly
     // distributed accesses update predictor state.
-    SamplingDeadBlockPredictor p(SdbpConfig::paperDefault(2048));
+    SamplingDeadBlockPredictor p(2048, 16, SdbpConfig::paperDefault(2048));
     Rng rng(17);
     const std::uint64_t n = 200000;
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr blk = rng.below(1 << 20);
-        p.onAccess(static_cast<std::uint32_t>(blk & 2047), Access::atBlock(blk, 0x400000 + 4 * rng.below(64), 0));
+        p.onAccess(static_cast<std::uint32_t>(blk & 2047), kMiss, Access::atBlock(blk, 0x400000 + 4 * rng.below(64), 0));
     }
     const double fraction =
         static_cast<double>(p.updates()) / static_cast<double>(n);

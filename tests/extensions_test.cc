@@ -24,6 +24,9 @@ namespace sdbp
 namespace
 {
 
+/** onAccess's hit way on a miss. */
+constexpr int kMiss = -1;
+
 Access
 demand(Addr block_addr, PC pc = 0x400000)
 {
@@ -142,55 +145,57 @@ TEST(Aip, DeadOnceIntervalExceedsLearnedMax)
 {
     AipConfig cfg;
     cfg.llcSets = 4;
-    AipPredictor p(cfg);
+    AipPredictor p(4, 2, cfg);
     const PC pc = 0x400100;
     const Addr blk = 0x40;
     // Two generations with re-touch interval ~2 set-accesses build
     // confidence.
     for (int gen = 0; gen < 2; ++gen) {
-        p.onAccess(0, Access::atBlock(blk, pc));
-        p.onFill(0, Access::atBlock(blk, pc));
-        p.onAccess(0, Access::atBlock(0x80, pc)); // interval filler
-        p.onAccess(0, Access::atBlock(blk, pc));  // re-touch at interval 2
-        p.onEvict(0, Access::atBlock(blk));
+        p.onAccess(0, kMiss, Access::atBlock(blk, pc));
+        p.onFill(0, 0, Access::atBlock(blk, pc));
+        p.onAccess(0, kMiss, Access::atBlock(0x80, pc)); // interval filler
+        p.onAccess(0, 0, Access::atBlock(blk, pc));  // re-touch at interval 2
+        p.onEvict(0, 0, blk);
     }
     // Third generation: alive within the learned interval...
-    p.onAccess(0, Access::atBlock(blk, pc));
-    p.onFill(0, Access::atBlock(blk, pc));
-    p.onAccess(0, Access::atBlock(0x80, pc));
-    EXPECT_FALSE(p.isDeadNow(0, blk));
+    p.onAccess(0, kMiss, Access::atBlock(blk, pc));
+    p.onFill(0, 0, Access::atBlock(blk, pc));
+    p.onAccess(0, kMiss, Access::atBlock(0x80, pc));
+    EXPECT_FALSE(p.isDeadNow(0, 0));
     // ...dead once well past it.
     for (int i = 0; i < 8; ++i)
-        p.onAccess(0, Access::atBlock(0x80 + 64 * i, pc));
-    EXPECT_TRUE(p.isDeadNow(0, blk));
-    EXPECT_NE(p.livenessProbe(), nullptr);
+        p.onAccess(0, kMiss, Access::atBlock(0x80 + 64 * i, pc));
+    EXPECT_TRUE(p.isDeadNow(0, 0));
+    // The DBRB's type-erased path reaches the override through the
+    // interface.
+    EXPECT_TRUE(static_cast<const DeadBlockPredictor &>(p).isDeadNow(0, 0));
 }
 
 TEST(Aip, NoConfidenceNoPrediction)
 {
     AipConfig cfg;
     cfg.llcSets = 4;
-    AipPredictor p(cfg);
-    p.onAccess(0, Access::atBlock(0x40, 0x400100));
-    p.onFill(0, Access::atBlock(0x40, 0x400100));
+    AipPredictor p(4, 2, cfg);
+    p.onAccess(0, kMiss, Access::atBlock(0x40, 0x400100));
+    p.onFill(0, 0, Access::atBlock(0x40, 0x400100));
     for (int i = 0; i < 50; ++i)
-        p.onAccess(0, Access::atBlock(0x80 + 64 * i, 0x400200));
-    EXPECT_FALSE(p.isDeadNow(0, 0x40)); // never-trained entry
+        p.onAccess(0, kMiss, Access::atBlock(0x80 + 64 * i, 0x400200));
+    EXPECT_FALSE(p.isDeadNow(0, 0)); // never-trained entry
 }
 
 TEST(Aip, DeadOnArrivalForSingleTouchGenerations)
 {
     AipConfig cfg;
     cfg.llcSets = 4;
-    AipPredictor p(cfg);
+    AipPredictor p(4, 2, cfg);
     const PC pc = 0x400300;
     const Addr blk = 0x99;
     for (int gen = 0; gen < 2; ++gen) {
-        p.onAccess(1, Access::atBlock(blk, pc));
-        p.onFill(1, Access::atBlock(blk, pc));
-        p.onEvict(1, Access::atBlock(blk));
+        p.onAccess(1, kMiss, Access::atBlock(blk, pc));
+        p.onFill(1, 0, Access::atBlock(blk, pc));
+        p.onEvict(1, 0, blk);
     }
-    EXPECT_TRUE(p.onAccess(1, Access::atBlock(blk, pc)));
+    EXPECT_TRUE(p.onAccess(1, kMiss, Access::atBlock(blk, pc)));
 }
 
 // ---- time-based ----
@@ -199,45 +204,45 @@ TEST(TimeBased, LearnsLiveTimeAndExpiresBlocks)
 {
     TimeBasedConfig cfg;
     cfg.llcSets = 4;
-    TimeBasedPredictor p(cfg);
+    TimeBasedPredictor p(4, 2, cfg);
     const PC pc = 0x400400;
     const Addr blk = 0x40;
     // One generation: live for ~4 set-accesses.
-    p.onAccess(0, Access::atBlock(blk, pc));
-    p.onFill(0, Access::atBlock(blk, pc));
+    p.onAccess(0, kMiss, Access::atBlock(blk, pc));
+    p.onFill(0, 0, Access::atBlock(blk, pc));
     for (int i = 0; i < 4; ++i)
-        p.onAccess(0, Access::atBlock(0x1000 + 64 * i, 0x400500));
-    p.onAccess(0, Access::atBlock(blk, pc)); // last touch at +5
-    p.onEvict(0, Access::atBlock(blk));
+        p.onAccess(0, kMiss, Access::atBlock(0x1000 + 64 * i, 0x400500));
+    p.onAccess(0, 0, Access::atBlock(blk, pc)); // last touch at +5
+    p.onEvict(0, 0, blk);
     EXPECT_GT(p.learnedLiveTime(pc), 0u);
 
     // New generation: alive shortly after a touch, dead after more
     // than 2x the learned live time of idleness.
-    p.onAccess(0, Access::atBlock(blk, pc));
-    p.onFill(0, Access::atBlock(blk, pc));
-    EXPECT_FALSE(p.isDeadNow(0, blk));
+    p.onAccess(0, kMiss, Access::atBlock(blk, pc));
+    p.onFill(0, 0, Access::atBlock(blk, pc));
+    EXPECT_FALSE(p.isDeadNow(0, 0));
     for (int i = 0; i < 2 * 5 + 3; ++i)
-        p.onAccess(0, Access::atBlock(0x2000 + 64 * i, 0x400500));
-    EXPECT_TRUE(p.isDeadNow(0, blk));
+        p.onAccess(0, kMiss, Access::atBlock(0x2000 + 64 * i, 0x400500));
+    EXPECT_TRUE(p.isDeadNow(0, 0));
 }
 
 TEST(TimeBased, TicksArePerSet)
 {
     TimeBasedConfig cfg;
     cfg.llcSets = 4;
-    TimeBasedPredictor p(cfg);
+    TimeBasedPredictor p(4, 2, cfg);
     const PC pc = 0x400600;
-    p.onAccess(1, Access::atBlock(0x41, pc));
-    p.onFill(1, Access::atBlock(0x41, pc));
-    p.onAccess(1, Access::atBlock(0x81, 0x400700));
-    p.onAccess(1, Access::atBlock(0x41, pc));
-    p.onEvict(1, Access::atBlock(0x41));
+    p.onAccess(1, kMiss, Access::atBlock(0x41, pc));
+    p.onFill(1, 0, Access::atBlock(0x41, pc));
+    p.onAccess(1, kMiss, Access::atBlock(0x81, 0x400700));
+    p.onAccess(1, 0, Access::atBlock(0x41, pc));
+    p.onEvict(1, 0, 0x41);
     // Heavy traffic in ANOTHER set must not expire set-1 blocks.
-    p.onAccess(1, Access::atBlock(0x41, pc));
-    p.onFill(1, Access::atBlock(0x41, pc));
+    p.onAccess(1, kMiss, Access::atBlock(0x41, pc));
+    p.onFill(1, 0, Access::atBlock(0x41, pc));
     for (int i = 0; i < 100; ++i)
-        p.onAccess(2, Access::atBlock(0x2000 + 64 * i, 0x400700));
-    EXPECT_FALSE(p.isDeadNow(1, 0x41));
+        p.onAccess(2, kMiss, Access::atBlock(0x2000 + 64 * i, 0x400700));
+    EXPECT_FALSE(p.isDeadNow(1, 0));
 }
 
 // ---- burst trace ----
@@ -246,16 +251,16 @@ TEST(BurstTrace, ConsecutiveAccessesFoldIntoOneBurst)
 {
     BurstTraceConfig cfg;
     cfg.llcSets = 4;
-    BurstTracePredictor p(cfg);
-    p.onAccess(0, Access::atBlock(0x40, 0xA0));
-    p.onFill(0, Access::atBlock(0x40, 0xA0));
-    p.onAccess(0, Access::atBlock(0x40, 0xB0)); // same burst
-    p.onAccess(0, Access::atBlock(0x40, 0xC0)); // same burst
+    BurstTracePredictor p(4, 2, cfg);
+    p.onAccess(0, kMiss, Access::atBlock(0x40, 0xA0));
+    p.onFill(0, 0, Access::atBlock(0x40, 0xA0));
+    p.onAccess(0, 0, Access::atBlock(0x40, 0xB0)); // same burst
+    p.onAccess(0, 0, Access::atBlock(0x40, 0xC0)); // same burst
     EXPECT_EQ(p.filteredAccesses(), 2u);
     EXPECT_EQ(p.bursts(), 0u);
-    p.onAccess(0, Access::atBlock(0x80, 0xA0)); // different block: boundary later
-    p.onFill(0, Access::atBlock(0x80, 0xA0));
-    p.onAccess(0, Access::atBlock(0x40, 0xD0)); // burst boundary for 0x40
+    p.onAccess(0, kMiss, Access::atBlock(0x80, 0xA0)); // different block: boundary later
+    p.onFill(0, 1, Access::atBlock(0x80, 0xA0));
+    p.onAccess(0, 0, Access::atBlock(0x40, 0xD0)); // burst boundary for 0x40
     EXPECT_EQ(p.bursts(), 1u);
 }
 
@@ -263,14 +268,14 @@ TEST(BurstTrace, LearnsDeathTracesLikeReftrace)
 {
     BurstTraceConfig cfg;
     cfg.llcSets = 4;
-    BurstTracePredictor p(cfg);
+    BurstTracePredictor p(4, 2, cfg);
     for (int gen = 0; gen < 3; ++gen) {
         const Addr blk = 0x100 + gen;
-        p.onAccess(0, Access::atBlock(blk, 0xA0));
-        p.onFill(0, Access::atBlock(blk, 0xA0));
-        p.onEvict(0, Access::atBlock(blk));
+        p.onAccess(0, kMiss, Access::atBlock(blk, 0xA0));
+        p.onFill(0, 0, Access::atBlock(blk, 0xA0));
+        p.onEvict(0, 0, blk);
     }
-    EXPECT_TRUE(p.onAccess(0, Access::atBlock(0x900, 0xA0)));
+    EXPECT_TRUE(p.onAccess(0, kMiss, Access::atBlock(0x900, 0xA0)));
 }
 
 // ---- integration: extension policies run end to end ----

@@ -330,17 +330,17 @@ class ScriptedPredictor : public DeadBlockPredictor
     std::uint64_t fills = 0;
 
     bool
-    onAccess(std::uint32_t, const Access &a) override
+    onAccess(std::uint32_t, int, const Access &a) override
     {
         return deadPcs.count(a.pc) > 0;
     }
     void
-    onFill(std::uint32_t, const Access &) override
+    onFill(std::uint32_t, std::uint32_t, const Access &) override
     {
         ++fills;
     }
     void
-    onEvict(std::uint32_t, const Access &) override
+    onEvict(std::uint32_t, std::uint32_t, Addr) override
     {
         ++evicts;
     }

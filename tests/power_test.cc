@@ -21,7 +21,7 @@ constexpr std::uint64_t llcBlocks = 32768; // 2 MB of 64 B blocks
 
 TEST(Storage, RefTraceTotalsMatchTableI)
 {
-    RefTracePredictor p;
+    RefTracePredictor p(2048, 16);
     const StorageBreakdown b = storageOf(p, llcBlocks);
     EXPECT_DOUBLE_EQ(b.predictorKB(), 8.0);
     EXPECT_DOUBLE_EQ(b.metadataKB(), 64.0);
@@ -32,7 +32,7 @@ TEST(Storage, RefTraceTotalsMatchTableI)
 
 TEST(Storage, CountingTotalsMatchTableI)
 {
-    CountingPredictor p;
+    CountingPredictor p(2048, 16);
     const StorageBreakdown b = storageOf(p, llcBlocks);
     EXPECT_DOUBLE_EQ(b.predictorKB(), 40.0);
     EXPECT_DOUBLE_EQ(b.metadataKB(), 68.0);
@@ -42,7 +42,7 @@ TEST(Storage, CountingTotalsMatchTableI)
 
 TEST(Storage, SamplerIsWellUnderOnePercent)
 {
-    SamplingDeadBlockPredictor p;
+    SamplingDeadBlockPredictor p(2048, 16);
     const StorageBreakdown b = storageOf(p, llcBlocks);
     // Tables: 3 KB.  Sampler: 32 x 12 x 36 bits = 1.6875 KB (the
     // paper reports 6.75 KB for this structure; see EXPERIMENTS.md).
@@ -53,9 +53,9 @@ TEST(Storage, SamplerIsWellUnderOnePercent)
 
 TEST(Storage, SamplerUsesFarLessThanBaselines)
 {
-    SamplingDeadBlockPredictor sampler;
-    RefTracePredictor reftrace;
-    CountingPredictor counting;
+    SamplingDeadBlockPredictor sampler(2048, 16);
+    RefTracePredictor reftrace(2048, 16);
+    CountingPredictor counting(2048, 16);
     const auto s = storageOf(sampler, llcBlocks).totalBits();
     const auto r = storageOf(reftrace, llcBlocks).totalBits();
     const auto c = storageOf(counting, llcBlocks).totalBits();
@@ -107,9 +107,9 @@ TEST(PowerModel, PredictorOrderingMatchesPaper)
     // The Table II ordering: sampler < reftrace < counting for both
     // leakage and dynamic power (predictor structures + metadata).
     PowerModel model;
-    SamplingDeadBlockPredictor sampler;
-    RefTracePredictor reftrace;
-    CountingPredictor counting;
+    SamplingDeadBlockPredictor sampler(2048, 16);
+    RefTracePredictor reftrace(2048, 16);
+    CountingPredictor counting(2048, 16);
 
     auto total = [&](const DeadBlockPredictor &p) {
         SramGeometry structures{.name = "s",

@@ -113,7 +113,7 @@ TEST(Prefetcher, InstallsIntoPredictedDeadFrames)
     SdbpConfig scfg = SdbpConfig::paperDefault(4);
     scfg.sampler.numSets = 1;
     scfg.sampler.assoc = 2;
-    auto predictor = std::make_unique<SamplingDeadBlockPredictor>(scfg);
+    auto predictor = std::make_unique<SamplingDeadBlockPredictor>(4, 2, scfg);
     auto *pred = predictor.get();
     auto policy = std::make_unique<DeadBlockPolicy>(
         std::make_unique<LruPolicy>(4, 2), std::move(predictor));

@@ -142,14 +142,14 @@ TEST(SdbpProperties, CoverageFallsWithThreshold)
         // Plain-LRU sampler keeps the training sequence identical
         // across thresholds, so coverage is strictly comparable.
         cfg.sampler.learnFromOwnEvictions = false;
-        SamplingDeadBlockPredictor p(cfg);
+        SamplingDeadBlockPredictor p(cfg.llcSets, 16, cfg);
         SyntheticWorkload w(specProfile("456.hmmer"));
         std::uint64_t positives = 0, total = 0;
         for (int i = 0; i < 40000; ++i) {
             const Access a = w.next();
             const auto set = static_cast<std::uint32_t>(
                 a.blockAddr() & 63);
-            positives += p.onAccess(set, a);
+            positives += p.onAccess(set, -1, a);
             ++total;
         }
         const double coverage =
@@ -168,17 +168,17 @@ TEST(SdbpProperties, CoverageFallsWithThreshold)
 TEST(SdbpProperties, PredictionsGeneralizeAcrossSets)
 {
     SdbpConfig cfg = SdbpConfig::paperDefault(2048);
-    SamplingDeadBlockPredictor p(cfg);
+    SamplingDeadBlockPredictor p(cfg.llcSets, 16, cfg);
     const PC dead_pc = 0x400abc;
     // Train only via sampled sets.
     for (Addr a = 0; a < 4096; ++a)
-        p.onAccess(static_cast<std::uint32_t>((a * 64) & 2047),
+        p.onAccess(static_cast<std::uint32_t>((a * 64) & 2047), -1,
                    Access::atBlock((a << 11) | ((a * 64) & 2047),
                                    dead_pc));
     // Consult on never-sampled sets: prediction must carry over.
     unsigned dead = 0;
     for (std::uint32_t set = 1; set < 64; set += 2)
-        dead += p.onAccess(set, Access::atBlock(0xabc000 + set,
+        dead += p.onAccess(set, -1, Access::atBlock(0xabc000 + set,
                                                 dead_pc));
     EXPECT_EQ(dead, 32u);
 }

@@ -129,7 +129,9 @@ class FaultInjector
 
   private:
     void freeze();
-    void injectOne();
+    /** Kept out of line so its std::function call stays in this one
+     *  cold symbol rather than in every DBRB wrapper's onAccess. */
+    [[gnu::noinline]] void injectOne();
 
     FaultInjectorConfig cfg_;
     Rng rng_;

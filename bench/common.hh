@@ -113,14 +113,13 @@ class JsonReport
     void note(const std::string &text) { notes_.push_back(text); }
 
     /** Record one simulated run's wall clock (and, when known, its
-     *  instruction count + host counters) for the timing block. */
+     *  host counters) for the timing block. */
     void
     addRun(const std::string &run, const std::string &policy,
-           double seconds, std::uint64_t instructions = 0,
+           double seconds,
            const util::PerfCounters::Sample &host_perf = {})
     {
-        runs_.push_back({run, policy, seconds, instructions,
-                         host_perf});
+        runs_.push_back({run, policy, seconds, host_perf});
         runSeconds_ += seconds;
     }
 
@@ -141,8 +140,7 @@ class JsonReport
         for (std::size_t b = 0; b < g.benchmarks.size(); ++b)
             for (std::size_t p = 0; p < g.policies.size(); ++p)
                 addRun(g.benchmarks[b], policyName(g.policies[p]),
-                       g.at(b, p).wallSeconds,
-                       g.at(b, p).instructions, g.at(b, p).hostPerf);
+                       g.at(b, p).wallSeconds, g.at(b, p).hostPerf);
     }
 
     void
@@ -157,9 +155,7 @@ class JsonReport
         for (std::size_t m = 0; m < g.mixes.size(); ++m)
             for (std::size_t p = 0; p < g.policies.size(); ++p)
                 addRun(g.mixes[m].name, policyName(g.policies[p]),
-                       g.at(m, p).wallSeconds,
-                       g.at(m, p).totalInstructions,
-                       g.at(m, p).hostPerf);
+                       g.at(m, p).wallSeconds, g.at(m, p).hostPerf);
     }
 
     /**
@@ -272,11 +268,6 @@ class JsonReport
             jr.set("run", obs::JsonValue(r.run));
             jr.set("policy", obs::JsonValue(r.policy));
             jr.set("seconds", obs::JsonValue(r.seconds));
-            if (r.instructions > 0)
-                jr.set("ns_per_instr",
-                       obs::JsonValue(
-                           r.seconds * 1e9 /
-                           static_cast<double>(r.instructions)));
             if (r.hostPerf.valid)
                 jr.set("host_ipc",
                        obs::JsonValue(r.hostPerf.hostIpc()));
@@ -329,8 +320,6 @@ class JsonReport
         std::string run;
         std::string policy;
         double seconds;
-        /** Simulated instructions (0 when not known). */
-        std::uint64_t instructions;
         util::PerfCounters::Sample hostPerf;
     };
 

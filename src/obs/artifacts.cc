@@ -5,6 +5,23 @@
 namespace sdbp::obs
 {
 
+namespace
+{
+
+JsonValue
+hostJson(const util::PerfCounters::Sample &s)
+{
+    JsonValue host = JsonValue::object();
+    host.set("cycles", JsonValue(s.cycles));
+    host.set("instructions", JsonValue(s.instructions));
+    host.set("llc_misses", JsonValue(s.llcMisses));
+    host.set("branch_misses", JsonValue(s.branchMisses));
+    host.set("ipc", JsonValue(s.hostIpc()));
+    return host;
+}
+
+} // anonymous namespace
+
 const TimelineSeries *
 RunArtifacts::findSeries(const std::string &name) const
 {
@@ -12,6 +29,25 @@ RunArtifacts::findSeries(const std::string &name) const
         if (s.name == name)
             return &s;
     return nullptr;
+}
+
+std::uint64_t
+RunArtifacts::simulatedInstructions() const
+{
+    std::uint64_t n = 0;
+    for (const PhaseRecord &p : profile)
+        n += p.instructions;
+    return n;
+}
+
+double
+RunArtifacts::nsPerInstr() const
+{
+    double seconds = 0;
+    for (const PhaseRecord &p : profile)
+        seconds += p.seconds();
+    const std::uint64_t n = simulatedInstructions();
+    return n > 0 ? seconds * 1e9 / static_cast<double>(n) : 0;
 }
 
 JsonValue
@@ -56,23 +92,15 @@ RunArtifacts::toJson() const
     }
 
     JsonValue prof = JsonValue::array();
-    for (const auto &s : profile) {
+    for (const PhaseRecord &phase : profile) {
         JsonValue p = JsonValue::object();
-        p.set("scope", s.name);
-        p.set("seconds", JsonValue(s.seconds));
-        p.set("calls", JsonValue(s.calls));
-        p.set("events", JsonValue(s.events));
-        p.set("events_per_sec", JsonValue(s.eventsPerSec()));
-        if (s.hostValid) {
-            JsonValue host = JsonValue::object();
-            host.set("cycles", JsonValue(s.hostCycles));
-            host.set("instructions", JsonValue(s.hostInstructions));
-            host.set("llc_misses", JsonValue(s.hostLlcMisses));
-            host.set("branch_misses",
-                     JsonValue(s.hostBranchMisses));
-            host.set("ipc", JsonValue(s.hostIpc()));
-            p.set("host", std::move(host));
-        }
+        p.set("scope", phase.name);
+        p.set("seconds", JsonValue(phase.seconds()));
+        p.set("calls", JsonValue(std::uint64_t{1}));
+        p.set("events", JsonValue(phase.instructions));
+        p.set("events_per_sec", JsonValue(phase.instructionsPerSec()));
+        if (phase.host.valid)
+            p.set("host", hostJson(phase.host));
         prof.push(std::move(p));
     }
     root.set("profile", std::move(prof));
@@ -82,19 +110,12 @@ RunArtifacts::toJson() const
     // perf_event is available — hardware counters.
     JsonValue timing = JsonValue::object();
     timing.set("wall_seconds", JsonValue(wallSeconds));
-    timing.set("simulated_instructions",
-               JsonValue(simulatedInstructions));
-    if (simulatedInstructions > 0)
+    const std::uint64_t simulated = simulatedInstructions();
+    timing.set("simulated_instructions", JsonValue(simulated));
+    if (simulated > 0)
         timing.set("ns_per_instr", JsonValue(nsPerInstr()));
-    if (hostPerf.valid) {
-        JsonValue host = JsonValue::object();
-        host.set("cycles", JsonValue(hostPerf.cycles));
-        host.set("instructions", JsonValue(hostPerf.instructions));
-        host.set("llc_misses", JsonValue(hostPerf.llcMisses));
-        host.set("branch_misses", JsonValue(hostPerf.branchMisses));
-        host.set("ipc", JsonValue(hostPerf.hostIpc()));
-        timing.set("host", std::move(host));
-    }
+    if (const auto host = hostTotal(profile); host.valid)
+        timing.set("host", hostJson(host));
     root.set("timing", std::move(timing));
 
     JsonValue trace = JsonValue::object();

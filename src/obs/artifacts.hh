@@ -17,9 +17,8 @@
 #include "obs/confusion.hh"
 #include "obs/interval.hh"
 #include "obs/json.hh"
-#include "obs/profiler.hh"
+#include "obs/phase.hh"
 #include "obs/stat_registry.hh"
-#include "util/perf_counters.hh"
 
 namespace sdbp::obs
 {
@@ -50,28 +49,29 @@ struct RunArtifacts
     bool hasConfusion = false;
     ConfusionMatrix confusion;
 
-    std::vector<Profiler::ScopeStats> profile;
+    /** run()'s phases as its phase clock recorded them: the
+     *  "profile" entries, and the source of every timing figure. */
+    std::vector<PhaseRecord> profile;
 
     /** Trace-sink accounting (events stream to their own JSONL). */
     std::uint64_t traceEventsRecorded = 0;
     std::uint64_t traceEventsDropped = 0;
 
-    /** Wall-clock seconds of the simulated phases at collect time
-     *  (setup + warmup + measure; excludes artifact export). */
+    /** Wall-clock seconds of the run at collect time (setup +
+     *  warmup + measure; excludes artifact export). */
     double wallSeconds = 0;
-    /** Simulated instructions (all threads), for ns/instr. */
-    std::uint64_t simulatedInstructions = 0;
-    /** Host hardware counters over the run (valid gated). */
-    util::PerfCounters::Sample hostPerf;
 
-    /** Host nanoseconds per simulated instruction. */
-    double nsPerInstr() const
-    {
-        return simulatedInstructions > 0
-            ? wallSeconds * 1e9 /
-                static_cast<double>(simulatedInstructions)
-            : 0;
-    }
+    /** Every instruction run() simulated: the phases' sum, warm-up
+     *  and restarted programs included. */
+    std::uint64_t simulatedInstructions() const;
+
+    /**
+     * Host nanoseconds per simulated instruction: summed phase
+     * seconds x 1e9 / simulatedInstructions().  The one definition
+     * (perfbench/README.md): host time inside run() over every
+     * instruction run() simulated, setup excluded.
+     */
+    double nsPerInstr() const;
 
     const TimelineSeries *findSeries(const std::string &name) const;
 

@@ -130,7 +130,7 @@ class SpanTracer
 
     /**
      * Direct emission for callers that already measured an interval
-     * (the Profiler mirrors its scopes through this).  No-op when
+     * (the runner mirrors run()'s phases through this).  No-op when
      * disabled.  @p cell attributes the span to a sweep cell.
      */
     void emit(const std::string &category, const std::string &name,

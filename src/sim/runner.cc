@@ -41,13 +41,12 @@ envInstCount(const char *name, InstCount fallback)
 /**
  * Everything the observability layer attaches to one System for one
  * run.  Allocated only when cfg.obs.collect is set; an uncollected
- * run carries no registry, heartbeat, profiler or trace sink at all.
+ * run carries no registry, heartbeat or trace sink at all.
  */
 struct ObsHarness
 {
     obs::StatRegistry registry;
     obs::IntervalTimeline timeline{&registry};
-    obs::Profiler profiler;
     obs::TraceSink trace;
 
     explicit ObsHarness(const ObsOptions &opt) : trace(opt.traceCapacity)
@@ -55,9 +54,9 @@ struct ObsHarness
     }
 };
 
-/** Attach registry/heartbeat/profiler/trace to the engine. */
+/** Attach registry/heartbeat/trace to the engine. */
 std::unique_ptr<ObsHarness>
-attachObs(Engine &eng, const ObsOptions &opt, const std::string &cell)
+attachObs(Engine &eng, const ObsOptions &opt)
 {
     if (!opt.collect)
         return nullptr;
@@ -68,10 +67,6 @@ attachObs(Engine &eng, const ObsOptions &opt, const std::string &cell)
         eng.dbrb->registerStats(h->registry, "dbrb");
         eng.dbrb->setTraceSink(&h->trace);
     }
-    if (obs::SpanTracer::global().enabled())
-        h->profiler.mirrorSpans(&obs::SpanTracer::global(), cell);
-    h->profiler.enableHostCounters();
-    sys.setProfiler(&h->profiler);
     sys.setHeartbeat(opt.intervalInstructions,
                      [harness = h.get()](std::uint64_t tick) {
                          harness->timeline.sample(tick);
@@ -84,21 +79,31 @@ attachObs(Engine &eng, const ObsOptions &opt, const std::string &cell)
 }
 
 /**
- * Phase spans without a full harness: when the global tracer is on
- * but artifact collection is off (the common sweep case), a bare
- * Profiler is attached purely to mirror the warmup/measure scopes as
- * spans attributed to @p cell.
+ * Mirrors the system's phase record as "phase" spans attributed to
+ * the cell once it goes out of scope: after run() returns, or while a
+ * SimulationTimeout unwinds, so a timed-out cell keeps its partial
+ * phase.  Emits nothing while the global tracer is off.
  */
-std::unique_ptr<obs::Profiler>
-attachSpanProfiler(SystemBase &sys, const std::string &cell)
+class PhaseSpans
 {
-    if (!obs::SpanTracer::global().enabled())
-        return nullptr;
-    auto prof = std::make_unique<obs::Profiler>();
-    prof->mirrorSpans(&obs::SpanTracer::global(), cell);
-    sys.setProfiler(prof.get());
-    return prof;
-}
+  public:
+    PhaseSpans(const SystemBase &sys, std::string cell)
+        : sys_(sys), cell_(std::move(cell))
+    {
+    }
+    PhaseSpans(const PhaseSpans &) = delete;
+    PhaseSpans &operator=(const PhaseSpans &) = delete;
+    ~PhaseSpans()
+    {
+        for (const obs::PhaseRecord &p : sys_.phases())
+            obs::SpanTracer::global().emit("phase", p.name, p.start,
+                                           p.end, cell_);
+    }
+
+  private:
+    const SystemBase &sys_;
+    std::string cell_;
+};
 
 /**
  * Assemble, export (per the SDBP_STATS_JSON-style options) and
@@ -108,16 +113,13 @@ attachSpanProfiler(SystemBase &sys, const std::string &cell)
 std::shared_ptr<const obs::RunArtifacts>
 collectObs(ObsHarness &h, const Engine &eng, const ObsOptions &opt,
            const std::string &benchmark, const std::string &policy,
-           const RunConfig &cfg, double wallSeconds,
-           std::uint64_t simInstructions,
-           const util::PerfCounters::Sample &hostPerf)
+           const RunConfig &cfg, double wallSeconds)
 {
     auto art = std::make_shared<obs::RunArtifacts>();
     art->benchmark = benchmark;
     art->policy = policy;
     art->wallSeconds = wallSeconds;
-    art->simulatedInstructions = simInstructions;
-    art->hostPerf = hostPerf;
+    art->profile = eng.system->phases();
     art->warmupInstructions = cfg.warmupInstructions;
     art->measureInstructions = cfg.measureInstructions;
     art->intervalInstructions = opt.intervalInstructions;
@@ -128,7 +130,6 @@ collectObs(ObsHarness &h, const Engine &eng, const ObsOptions &opt,
         art->hasConfusion = true;
         art->confusion = eng.dbrb->confusion();
     }
-    art->profile = h.profiler.summary();
     art->traceEventsRecorded = h.trace.recorded();
     art->traceEventsDropped = h.trace.dropped();
 
@@ -214,31 +215,18 @@ runSingleCoreWith(AccessGenerator &workload,
     if (cfg.recordLlcTrace)
         sys.hierarchy().recordLlcTrace(&res.llcTrace);
     applyCellTimeout(sys);
-    auto harness = attachObs(eng, cfg.obs,
-                             benchmark + "/" + res.policy);
-    std::unique_ptr<obs::Profiler> spanProf;
-    if (!harness)
-        spanProf = attachSpanProfiler(sys,
-                                      benchmark + "/" + res.policy);
+    sys.enableHostCounters();
+    auto harness = attachObs(eng, cfg.obs);
 
     std::vector<AccessGenerator *> gens = {&workload};
-    std::unique_ptr<util::PerfCounters> hostCounters;
-    if (util::hostCountersEnabled()) {
-        hostCounters = std::make_unique<util::PerfCounters>();
-        hostCounters->start();
-    }
+    const PhaseSpans spans(sys, benchmark + "/" + res.policy);
     const auto threads = sys.run(gens, cfg.warmupInstructions,
                                  cfg.measureInstructions);
-    if (hostCounters) {
-        hostCounters->stop();
-        res.hostPerf = hostCounters->sample();
-    }
+    res.hostPerf = obs::hostTotal(sys.phases());
     if (harness) {
         res.artifacts = collectObs(*harness, eng, cfg.obs, benchmark,
                                    res.policy, cfg,
-                                   secondsSince(wall_start),
-                                   threads[0].instructions,
-                                   res.hostPerf);
+                                   secondsSince(wall_start));
     }
 
     const CacheBase &llc = sys.hierarchy().llc();
@@ -413,27 +401,17 @@ runMulticore(const MixProfile &mix, PolicyKind kind, RunConfig cfg)
     for (auto &w : workloads)
         gens.push_back(w.get());
     applyCellTimeout(sys);
-    const std::string cell = mix.name + "/" + policyName(kind);
-    auto harness = attachObs(eng, cfg.obs, cell);
-    std::unique_ptr<obs::Profiler> spanProf;
-    if (!harness)
-        spanProf = attachSpanProfiler(sys, cell);
+    sys.enableHostCounters();
+    auto harness = attachObs(eng, cfg.obs);
 
-    std::unique_ptr<util::PerfCounters> hostCounters;
-    if (util::hostCountersEnabled()) {
-        hostCounters = std::make_unique<util::PerfCounters>();
-        hostCounters->start();
-    }
+    const PhaseSpans spans(sys, mix.name + "/" + policyName(kind));
     const auto threads = sys.run(gens, cfg.warmupInstructions,
                                  cfg.measureInstructions);
 
     MulticoreRunResult res;
     res.mix = mix.name;
     res.policy = policyName(kind);
-    if (hostCounters) {
-        hostCounters->stop();
-        res.hostPerf = hostCounters->sample();
-    }
+    res.hostPerf = obs::hostTotal(sys.phases());
     res.benchmarks = mix.benchmarks;
     for (const auto &t : threads) {
         res.ipc.push_back(t.ipc);
@@ -442,9 +420,7 @@ runMulticore(const MixProfile &mix, PolicyKind kind, RunConfig cfg)
     if (harness) {
         res.artifacts = collectObs(*harness, eng, cfg.obs, mix.name,
                                    res.policy, cfg,
-                                   secondsSince(wall_start),
-                                   res.totalInstructions,
-                                   res.hostPerf);
+                                   secondsSince(wall_start));
     }
     res.llcMisses = sys.hierarchy().llc().stats().demandMisses;
     res.mpki = mpki(res.llcMisses, res.totalInstructions);

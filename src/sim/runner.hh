@@ -125,14 +125,6 @@ struct RunResult
     std::uint64_t intervalsTotal = 0;
     std::uint64_t intervalsSimulated = 0;
     std::uint64_t simulatedInstructions = 0;
-
-    /** Host nanoseconds per simulated instruction (0 until run). */
-    double nsPerInstr() const
-    {
-        return instructions > 0
-            ? wallSeconds * 1e9 / static_cast<double>(instructions)
-            : 0;
-    }
 };
 
 /** Simulate one benchmark under one LLC policy on a single core. */
@@ -156,15 +148,6 @@ struct MulticoreRunResult
     double wallSeconds = 0;
     /** Host hardware counters over warmup+measure (valid gated). */
     util::PerfCounters::Sample hostPerf;
-
-    /** Host nanoseconds per simulated instruction (all threads). */
-    double nsPerInstr() const
-    {
-        return totalInstructions > 0
-            ? wallSeconds * 1e9 /
-                static_cast<double>(totalInstructions)
-            : 0;
-    }
 };
 
 /** Simulate one quad-core mix under one shared-LLC policy. */

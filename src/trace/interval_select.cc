@@ -144,7 +144,8 @@ selectIntervals(TraceReader &reader, const IntervalSelectConfig &cfg)
             if (counts[c] == 0)
                 continue; // keep the previous centroid
             for (unsigned d = 0; d < cfg.dims; ++d)
-                centroids[c][d] = sums[c][d] / counts[c];
+                centroids[c][d] =
+                    sums[c][d] / static_cast<double>(counts[c]);
         }
     }
     for (std::size_t i = 0; i < n_intervals; ++i)

@@ -38,7 +38,8 @@ openCounter(std::uint32_t config, int group_fd, std::uint64_t *id)
     attr.type = PERF_TYPE_HARDWARE;
     attr.size = sizeof(attr);
     attr.config = config;
-    attr.disabled = group_fd < 0 ? 1 : 0;
+    if (group_fd < 0)
+        attr.disabled = 1;
     attr.exclude_kernel = 1;
     attr.exclude_hv = 1;
     attr.read_format =

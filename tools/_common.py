@@ -2,13 +2,11 @@
 
 Everything in tools/ runs in CI where installing packages is
 off-limits, so this module sticks to the standard library: JSON
-loading with a uniform error message, google-benchmark parsing shared
-by perf_compare.py and the perf harness, small statistics, and a
-subprocess wrapper used by the binary audit.
+loading with a uniform error message, google-benchmark parsing for
+perf_compare.py, and a subprocess wrapper used by the binary audit.
 """
 
 import json
-import statistics
 import subprocess
 import sys
 
@@ -51,28 +49,6 @@ def load_benchmarks(path):
             continue
         out[name] = entry
     return out
-
-
-def median(values):
-    """Median of a non-empty sequence of numbers."""
-    return statistics.median(values)
-
-
-#: ns per unit for google-benchmark time_unit strings.
-TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-
-def ns_per_instr(entry, instructions_per_iter=10000):
-    """Host ns per simulated instruction of one benchmark entry.
-
-    ``BM_SimulatedInstruction`` runs 10000 instructions per iteration
-    (SetItemsProcessed), so cpu_time / 10000 converted to ns is the
-    ROADMAP's headline ns/instr metric.  Shared by bench_history.py
-    (recording) and perf_compare.py --ratchet (gating) so the two
-    always agree on the derivation.
-    """
-    scale = TIME_UNIT_NS.get(entry.get("time_unit", "ns"), 1.0)
-    return entry["cpu_time"] * scale / instructions_per_iter
 
 
 def run_process(cmd, **kwargs):

@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Compare benchmark results and gate on regressions.
+"""Compare two benchmark result files and gate on regressions.
 
-Pairwise mode:
     perf_compare.py BASE.json PR.json [--filter NAME ...]
                     [--max-regress PCT]
 
@@ -11,30 +10,18 @@ name, and fails (exit 1) if any selected benchmark's cpu_time grew by
 more than --max-regress percent from BASE to PR.  With no --filter,
 every benchmark present in both files is checked.
 
-Ratchet mode:
-    perf_compare.py PR.json --ratchet HISTORY.jsonl [--report-only]
-                    [--filter NAME ...] [--max-regress PCT]
-
-Compares the PR's ns/instr against the *best ever recorded* in the
-bench_history.py trendline (bench/history/BENCH_trend.jsonl): the bar
-only moves down.  Exceeding the best by more than --max-regress
-percent fails; being merely slower than the best prints a drift
-warning.  --report-only prints the same verdicts but always exits 0
-(the two-PR burn-in mode before the gate goes live).
-
 Stdlib only -- this runs in CI where installing packages is off-limits.
 """
 
 import argparse
 import sys
 
-from _common import load_benchmarks, ns_per_instr
-from bench_history import load_history
+from _common import load_benchmarks
 
 
 def compare_pair(args):
-    base = load_benchmarks(args.files[0])
-    pr = load_benchmarks(args.files[1])
+    base = load_benchmarks(args.base)
+    pr = load_benchmarks(args.pr)
 
     names = args.filter or sorted(set(base) & set(pr))
     failed = False
@@ -59,79 +46,17 @@ def compare_pair(args):
     return 1 if failed else 0
 
 
-def compare_ratchet(args):
-    pr = load_benchmarks(args.files[0])
-    history = load_history(args.ratchet)
-    if not history:
-        print(f"ratchet: no history in {args.ratchet}; nothing to "
-              "compare against (record a baseline with "
-              "bench_history.py append)")
-        return 0
-
-    recorded = sorted({r.get("benchmark") for r in history
-                       if "ns_per_instr" in r})
-    names = args.filter or [n for n in recorded if n in pr]
-    failed = False
-    for name in names:
-        rows = [r for r in history
-                if r.get("benchmark") == name and "ns_per_instr" in r]
-        if name not in pr or not rows:
-            print(f"FAIL {name}: missing from "
-                  f"{'PR results' if name not in pr else 'history'}")
-            failed = True
-            continue
-        best = min(rows, key=lambda r: r["ns_per_instr"])
-        current = ns_per_instr(pr[name])
-        delta = ((current - best["ns_per_instr"]) /
-                 best["ns_per_instr"] * 100.0)
-        if delta > args.max_regress:
-            status, failed = "FAIL", True
-        elif delta > 0:
-            status = "WARN"
-        else:
-            status = "ok"
-        print(f"{status:4s} {name}: {current:.2f} ns/instr vs best "
-              f"{best['ns_per_instr']:.2f} "
-              f"@ {best.get('commit', '?')[:12]} "
-              f"({delta:+.1f}%, limit +{args.max_regress:.0f}%)"
-            + (" [drift]" if status == "WARN" else ""))
-
-    if not names:
-        print("FAIL: no benchmarks in common between PR results and "
-              "history")
-        failed = True
-    if failed and args.report_only:
-        print("ratchet: regressions found, but --report-only keeps "
-              "the exit code 0")
-        return 0
-    return 1 if failed else 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("files", nargs="+",
-                    help="BASE.json PR.json (pairwise) or PR.json "
-                         "(--ratchet)")
+    ap.add_argument("base", metavar="BASE.json")
+    ap.add_argument("pr", metavar="PR.json")
     ap.add_argument("--filter", action="append", default=[],
                     help="benchmark name to check (repeatable); "
                          "default: all common benchmarks")
     ap.add_argument("--max-regress", type=float, default=10.0,
                     help="max allowed increase in percent "
                          "(default: 10)")
-    ap.add_argument("--ratchet", metavar="HISTORY.jsonl",
-                    help="compare ns/instr against the best recorded "
-                         "trendline entry instead of a base file")
-    ap.add_argument("--report-only", action="store_true",
-                    help="with --ratchet: print verdicts but exit 0")
-    args = ap.parse_args()
-
-    if args.ratchet:
-        if len(args.files) != 1:
-            ap.error("--ratchet takes exactly one results file")
-        return compare_ratchet(args)
-    if len(args.files) != 2:
-        ap.error("pairwise mode takes exactly BASE.json PR.json")
-    return compare_pair(args)
+    return compare_pair(ap.parse_args())
 
 
 if __name__ == "__main__":

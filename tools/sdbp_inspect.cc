@@ -246,11 +246,11 @@ printSummary(const obs::RunArtifacts &art)
     if (!art.profile.empty()) {
         std::cout << "\nWall-clock profile:\n";
         TextTable pt({"scope", "seconds", "events", "events/sec"});
-        for (const auto &s : art.profile)
-            pt.row().cell(s.name)
-                .cell(formatDouble(s.seconds, 3))
-                .cell(std::to_string(s.events))
-                .cell(formatDouble(s.eventsPerSec(), 0));
+        for (const auto &p : art.profile)
+            pt.row().cell(p.name)
+                .cell(formatDouble(p.seconds(), 3))
+                .cell(std::to_string(p.instructions))
+                .cell(formatDouble(p.instructionsPerSec(), 0));
         pt.print(std::cout);
     }
 

@@ -222,7 +222,7 @@ ALL_RULES = {
     "hot-io": "I/O on the hot path",
     "hot-span": "span emission on the hot path (spans are cell/phase "
                 "granularity only)",
-    "det-wallclock": "wall-clock read outside the profiler",
+    "det-wallclock": "wall-clock read outside run()'s phase clock",
     "det-random": "non-seeded randomness (use sdbp::Rng)",
     "det-getenv": "raw getenv outside the env:: wrappers",
     "det-unordered-iter": "output from unordered-container iteration",

@@ -111,8 +111,9 @@ TEST(SweepEngine, ArtifactsAreDeterministicModuloProfile)
     const sweep::Grid b = sweep::runGrid(benches, policies, cfg, 2);
     ASSERT_TRUE(a.at(0, 0).artifacts);
     ASSERT_TRUE(b.at(0, 0).artifacts);
-    // The profiler section carries wall-clock seconds; everything
-    // else (stats, intervals, config echo) must match byte for byte.
+    // The profile and timing sections carry wall-clock seconds;
+    // everything else (stats, intervals, config echo) must match
+    // byte for byte.
     EXPECT_EQ(scrubbed(a.at(0, 0).artifacts->toJson()).dump(),
               scrubbed(b.at(0, 0).artifacts->toJson()).dump());
 }

@@ -16,6 +16,8 @@
 #include "trace/spec_profiles.hh"
 #include "cpu/system.hh"
 
+#include "bypass_reuse_model.hh"
+
 namespace sdbp
 {
 namespace
@@ -176,6 +178,30 @@ TEST(Prefetcher, EndToEndOnStreamingWorkload)
     EXPECT_GT(pf_stats.issued, 0u);
     EXPECT_GT(pf_stats.installed, 0u);
     EXPECT_LT(pf_misses, base_misses);
+}
+
+TEST(Prefetcher, BypassReusesWithPrefetchFills)
+{
+    // A prefetch fill is not a predictor consultation: it reuses the
+    // demand's prediction, so one consultation can bypass up to
+    // 1 + degree blocks.  The bypass-reuse count must still follow
+    // the reference model, and these numbers must not move.
+    HierarchyConfig cfg;
+    cfg.prefetch.degree = 4;
+    auto checked = std::make_unique<ModelCheckedPolicy>(makePolicy(
+        PolicyKind::Sampler, cfg.llc.numSets, cfg.llc.assoc));
+    const ModelCheckedPolicy &policy = *checked;
+    System sys(cfg, CoreConfig{}, std::move(checked));
+    SyntheticWorkload w(specProfile("462.libquantum"));
+    std::vector<AccessGenerator *> gens = {&w};
+    sys.run(gens, 100000, 300000);
+    const DbrbStats &s = policy.dbrb().dbrbStats();
+    const std::uint64_t demand_misses =
+        sys.hierarchy().llc().stats().demandMisses;
+    EXPECT_GT(s.bypasses, demand_misses);
+    EXPECT_EQ(s.bypasses, 182450u);
+    EXPECT_EQ(s.bypassReuses, 36489u);
+    EXPECT_EQ(s.bypassReuses, policy.model().reuses());
 }
 
 } // anonymous namespace

@@ -5,7 +5,8 @@
  * A simulated run allocates a fixed set of storage lanes up front —
  * cache tag/state/metadata lanes, replacement-policy recency lanes,
  * the sampler tag array, the skewed counter banks — and then never
- * allocates again until teardown.  The general-purpose heap spreads
+ * allocates again until teardown, with one cold exception: the DBRB's
+ * heap-backed bypass-reuse table (DESIGN.md §12).  The general-purpose heap spreads
  * those lanes across whatever address ranges malloc has free, so
  * lanes that the per-access walk touches together can land pages
  * apart.  The arena packs them: every container constructed while an

@@ -5,7 +5,12 @@
  * paper's multi-core methodology (Sec. VI-A2): all programs run
  * simultaneously, and a program that finishes its instruction quota
  * restarts and keeps generating contention until every program has
- * finished; per-thread statistics freeze at first completion.
+ * finished; per-thread statistics freeze at first completion.  A
+ * single-core run is the one-core case of that method: warm-up and
+ * measurement both go through one phase loop (runPhase), and each
+ * phase's quota counts from the instructions a core had executed when
+ * the phase began, so a second run() on the same system warms up for
+ * as long as the first.
  *
  * Split into SystemBase (the type-erased face: one virtual call per
  * run(), not per access) and BasicSystem<LlcP>, which stacks the
@@ -87,8 +92,10 @@ class SystemBase
     SystemBase &operator=(const SystemBase &) = delete;
 
     /**
-     * Run every core for @p measure instructions after a @p warmup
-     * period (statistics are cleared between the phases).
+     * Run every core for @p warmup instructions, clear the
+     * statistics, then run every core for @p measure more; both
+     * counts are relative to where each core stood when the call
+     * began.
      *
      * @param gens one generator per core (not owned)
      */
@@ -307,137 +314,22 @@ class BasicSystem final : public SystemBase
     run(const std::vector<AccessGenerator *> &gens, InstCount warmup,
         InstCount measure) override
     {
-        const std::uint32_t n = hcfg_.numCores;
-        if (gens.size() != n)
+        if (gens.size() != hcfg_.numCores)
             fatal("System::run: need one generator per core");
         assert(measure > 0);
 
         // Fresh read-ahead: records buffered for a previous run()'s
         // generators must not leak into this one.
-        batch_.assign(n, Batch{});
+        batch_.assign(hcfg_.numCores, Batch{});
         PhaseClock phase_clock(*this);
-
-        // Interleave cores by advancing whichever has the smallest
-        // local clock, so a stalled core naturally issues fewer
-        // accesses.  Single-core runs — the common case — skip the
-        // scan entirely.
-        auto next_core = [&](const std::vector<bool> &eligible) {
-            if (n == 1)
-                return 0u;
-            std::uint32_t best = 0;
-            Cycle best_cycles = std::numeric_limits<Cycle>::max();
-            for (std::uint32_t c = 0; c < n; ++c) {
-                if (eligible[c] && cores_[c].cycles() < best_cycles) {
-                    best = c;
-                    best_cycles = cores_[c].cycles();
-                }
-            }
-            return best;
-        };
-
-        // --- Warm-up phase ---
         if (warmup > 0) {
             phase_clock.enter("warmup");
-            std::vector<bool> warming(n, true);
-            std::uint32_t still_warming = n;
-            while (still_warming > 0) {
-                const std::uint32_t c = next_core(warming);
-                step(c, fetchAndPrefetch(c, *gens[c]));
-                checkDeadline("warmup");
-                if (cores_[c].instructions() >= warmup) {
-                    warming[c] = false;
-                    --still_warming;
-                }
-            }
+            runPhase(gens, warmup, nullptr);
             hierarchy_.clearStats();
         }
-
-        // --- Measurement phase ---
-        std::vector<InstCount> start_insts(n);
-        std::vector<Cycle> start_cycles(n);
-        for (std::uint32_t c = 0; c < n; ++c) {
-            start_insts[c] = cores_[c].instructions();
-            start_cycles[c] = cores_[c].cycles();
-        }
-
         phase_clock.enter("measure");
-
-        // Heartbeats only fire in this phase: warmup stats were just
-        // cleared, so from here on every registered counter is
-        // monotone across snapshots.  The baseline sample anchors
-        // interval 0.
-        std::uint64_t next_beat =
-            std::numeric_limits<std::uint64_t>::max();
-        if (heartbeatInterval_ > 0 && heartbeat_) {
-            heartbeat_(tick_);
-            next_beat = tick_ + heartbeatInterval_;
-        }
-
-        std::vector<ThreadRunResult> results(n);
-
-        // Single-core fast loop: the common case (every per-workload
-        // figure cell) needs no core interleaving, no eligibility
-        // bookkeeping, and no per-record scan for the smallest local
-        // clock — just fetch/step/until-quota, with the completion
-        // test against a precomputed target.  Record-for-record
-        // identical to the general loop below with n == 1.
-        if (n == 1) {
-            CoreModel &core = cores_[0];
-            AccessGenerator &gen = *gens[0];
-            const InstCount target = start_insts[0] + measure;
-            while (core.instructions() < target) {
-                step(0, fetchAndPrefetch(0, gen));
-                checkDeadline("measure");
-                if (tick_ >= next_beat) {
-                    heartbeat_(tick_);
-                    next_beat = tick_ + heartbeatInterval_;
-                }
-            }
-            auto &r = results[0];
-            r.instructions = core.instructions() - start_insts[0];
-            r.cycles = core.cycles() - start_cycles[0];
-            r.ipc = ratio(static_cast<double>(r.instructions),
-                          static_cast<double>(r.cycles));
-            gen.reset();
-            batch_[0].pos = batch_[0].fill = 0;
-            if (heartbeatInterval_ > 0 && heartbeat_)
-                heartbeat_(tick_); // final partial interval
-            return results;
-        }
-
-        std::vector<bool> running(n, true);
-        std::uint32_t unfinished = n;
-        std::vector<bool> all(n, true);
-        while (unfinished > 0) {
-            // Finished cores keep running (restarted) to preserve
-            // contention, so everyone is eligible.
-            const std::uint32_t c = next_core(all);
-            step(c, fetchAndPrefetch(c, *gens[c]));
-            checkDeadline("measure");
-            if (tick_ >= next_beat) {
-                heartbeat_(tick_);
-                next_beat = tick_ + heartbeatInterval_;
-            }
-            if (running[c] &&
-                cores_[c].instructions() - start_insts[c] >= measure) {
-                running[c] = false;
-                --unfinished;
-                auto &r = results[c];
-                r.instructions =
-                    cores_[c].instructions() - start_insts[c];
-                r.cycles = cores_[c].cycles() - start_cycles[c];
-                r.ipc = ratio(static_cast<double>(r.instructions),
-                              static_cast<double>(r.cycles));
-                // Restart the program (Sec. VI-A2); drop the
-                // read-ahead so the restarted stream begins at its
-                // beginning, exactly as a record-at-a-time loop
-                // would see it.
-                gens[c]->reset();
-                batch_[c].pos = batch_[c].fill = 0;
-            }
-        }
-        if (heartbeatInterval_ > 0 && heartbeat_)
-            heartbeat_(tick_); // final partial interval
+        std::vector<ThreadRunResult> results(hcfg_.numCores);
+        runPhase(gens, measure, &results);
         return results;
     }
 
@@ -465,6 +357,84 @@ class BasicSystem final : public SystemBase
     }
 
   private:
+    /**
+     * Step every core until each has executed @p quota more
+     * instructions.  The core with the smallest local clock goes
+     * next, so a stalled core naturally issues fewer accesses (a
+     * single core skips the scan).  In warm-up (@p measured null) a
+     * core that reaches its quota stops.  In the measurement phase it
+     * records its result, restarts its program (Sec. VI-A2) and stays
+     * eligible, keeping up contention until every core has finished;
+     * the heartbeat fires only here, where the counters just cleared
+     * stay monotone across snapshots.
+     */
+    void
+    runPhase(const std::vector<AccessGenerator *> &gens,
+             InstCount quota, std::vector<ThreadRunResult> *measured)
+    {
+        const std::uint32_t n = hcfg_.numCores;
+        const char *phase = measured ? "measure" : "warmup";
+        constexpr InstCount kDone = std::numeric_limits<InstCount>::max();
+        std::vector<InstCount> target(n);
+        std::vector<Cycle> start_cycles(n);
+        for (std::uint32_t c = 0; c < n; ++c) {
+            target[c] = cores_[c].instructions() + quota;
+            start_cycles[c] = cores_[c].cycles();
+        }
+        std::vector<bool> eligible(n, true);
+        std::uint32_t unfinished = n;
+
+        // The baseline sample anchors interval 0.
+        const bool beats =
+            measured && heartbeatInterval_ > 0 && heartbeat_;
+        std::uint64_t next_beat =
+            std::numeric_limits<std::uint64_t>::max();
+        if (beats) {
+            heartbeat_(tick_);
+            next_beat = tick_ + heartbeatInterval_;
+        }
+
+        while (unfinished > 0) {
+            std::uint32_t c = 0;
+            if (n > 1) {
+                Cycle best_cycles = std::numeric_limits<Cycle>::max();
+                for (std::uint32_t k = 0; k < n; ++k) {
+                    if (eligible[k] && cores_[k].cycles() < best_cycles) {
+                        c = k;
+                        best_cycles = cores_[k].cycles();
+                    }
+                }
+            }
+            step(c, fetchAndPrefetch(c, *gens[c]));
+            checkDeadline(phase);
+            if (tick_ >= next_beat) {
+                heartbeat_(tick_);
+                next_beat = tick_ + heartbeatInterval_;
+            }
+            if (cores_[c].instructions() < target[c])
+                continue;
+            --unfinished;
+            if (!measured) {
+                eligible[c] = false;
+                continue;
+            }
+            ThreadRunResult &r = (*measured)[c];
+            r.instructions = cores_[c].instructions() - (target[c] - quota);
+            r.cycles = cores_[c].cycles() - start_cycles[c];
+            r.ipc = ratio(static_cast<double>(r.instructions),
+                          static_cast<double>(r.cycles));
+            // Statistics freeze at first completion.  Drop the
+            // read-ahead so the restarted stream begins at its
+            // beginning, exactly as a record-at-a-time loop would
+            // see it.
+            target[c] = kDone;
+            gens[c]->reset();
+            batch_[c].pos = batch_[c].fill = 0;
+        }
+        if (beats)
+            heartbeat_(tick_); // final partial interval
+    }
+
     /**
      * Fetch the next record and, while its simulation is about to
      * run, request the set lanes record i+k of the same batch will

@@ -156,6 +156,62 @@ applyCellTimeout(SystemBase &sys)
                         std::chrono::seconds(secs));
 }
 
+/** A finished engine, kept alive for the caller's own read-out
+ *  (with the harness its trace sinks point into). */
+struct EngineRun
+{
+    Engine eng;
+    std::unique_ptr<ObsHarness> harness;
+    std::vector<ThreadRunResult> threads;
+};
+
+/**
+ * The engine lifecycle both single-core and mix runs share: build the
+ * engine for cfg.hierarchy.numCores cores, arm the cell timeout, host
+ * counters and observability, run @p gens, and fill in what every
+ * result carries (policy, host totals, artifacts, fault count, wall
+ * seconds since @p wallStart).  @p workload names the benchmark or
+ * mix; @p llcTrace, when set, records the LLC reference stream.
+ */
+template <class Result>
+EngineRun
+runEngine(PolicyKind kind, const RunConfig &cfg,
+          const std::vector<AccessGenerator *> &gens,
+          const std::string &workload, std::vector<LlcRef> *llcTrace,
+          std::chrono::steady_clock::time_point wallStart, Result &res)
+{
+    EngineRun out;
+    out.eng = makeEngine(kind, cfg.hierarchy, cfg.core, cfg.policy);
+    SystemBase &sys = *out.eng.system;
+    if (llcTrace)
+        sys.hierarchy().recordLlcTrace(llcTrace);
+    applyCellTimeout(sys);
+    sys.enableHostCounters();
+    out.harness = attachObs(out.eng, cfg.obs);
+
+    res.policy = policyName(kind);
+    {
+        const PhaseSpans spans(sys, workload + "/" + res.policy);
+        out.threads = sys.run(gens, cfg.warmupInstructions,
+                              cfg.measureInstructions);
+    }
+    res.hostPerf = obs::hostTotal(sys.phases());
+    if (out.harness) {
+        res.artifacts = collectObs(*out.harness, out.eng, cfg.obs,
+                                   workload, res.policy, cfg,
+                                   secondsSince(wallStart));
+    }
+    if (out.eng.dbrb) {
+        if (out.eng.faults)
+            res.faultsInjected = out.eng.faults->injected();
+        // Fault-injected or not, the predictor must end the run with
+        // its invariants intact: corruption is confined to hints.
+        out.eng.predictor->auditInvariants();
+    }
+    res.wallSeconds = secondsSince(wallStart);
+    return out;
+}
+
 } // anonymous namespace
 
 RunConfig
@@ -200,39 +256,24 @@ runSingleCoreWith(AccessGenerator &workload,
                   const std::string &benchmark, PolicyKind kind,
                   const RunConfig &cfg_in)
 {
-    RunConfig cfg = cfg_in;
     const auto wall_start = std::chrono::steady_clock::now();
+    RunConfig cfg = cfg_in;
     cfg.hierarchy.numCores = 1;
     cfg.hierarchy.llc.trackEfficiency = cfg.trackEfficiency;
     cfg.policy.numThreads = 1;
 
-    Engine eng = makeEngine(kind, cfg.hierarchy, cfg.core, cfg.policy);
-    SystemBase &sys = *eng.system;
-
     RunResult res;
     res.benchmark = benchmark;
-    res.policy = policyName(kind);
-    if (cfg.recordLlcTrace)
-        sys.hierarchy().recordLlcTrace(&res.llcTrace);
-    applyCellTimeout(sys);
-    sys.enableHostCounters();
-    auto harness = attachObs(eng, cfg.obs);
+    const EngineRun run =
+        runEngine(kind, cfg, {&workload}, benchmark,
+                  cfg.recordLlcTrace ? &res.llcTrace : nullptr,
+                  wall_start, res);
 
-    std::vector<AccessGenerator *> gens = {&workload};
-    const PhaseSpans spans(sys, benchmark + "/" + res.policy);
-    const auto threads = sys.run(gens, cfg.warmupInstructions,
-                                 cfg.measureInstructions);
-    res.hostPerf = obs::hostTotal(sys.phases());
-    if (harness) {
-        res.artifacts = collectObs(*harness, eng, cfg.obs, benchmark,
-                                   res.policy, cfg,
-                                   secondsSince(wall_start));
-    }
-
+    SystemBase &sys = *run.eng.system;
     const CacheBase &llc = sys.hierarchy().llc();
-    res.instructions = threads[0].instructions;
-    res.cycles = threads[0].cycles;
-    res.ipc = threads[0].ipc;
+    res.instructions = run.threads[0].instructions;
+    res.cycles = run.threads[0].cycles;
+    res.ipc = run.threads[0].ipc;
     res.llcAccesses = llc.stats().demandAccesses;
     res.llcMisses = llc.stats().demandMisses;
     res.llcBypasses = llc.stats().bypasses;
@@ -252,16 +293,10 @@ runSingleCoreWith(AccessGenerator &workload,
                     llc.frameEfficiency(s, w));
     }
 
-    if (eng.dbrb) {
+    if (run.eng.dbrb) {
         res.hasDbrb = true;
-        res.dbrb = eng.dbrb->dbrbStats();
-        if (eng.faults)
-            res.faultsInjected = eng.faults->injected();
-        // Fault-injected or not, the predictor must end the run with
-        // its invariants intact: corruption is confined to hints.
-        eng.predictor->auditInvariants();
+        res.dbrb = run.eng.dbrb->dbrbStats();
     }
-    res.wallSeconds = secondsSince(wall_start);
     return res;
 }
 
@@ -387,49 +422,26 @@ runMulticore(const MixProfile &mix, PolicyKind kind, RunConfig cfg)
     cfg.hierarchy.numCores = cores;
     cfg.policy.numThreads = cores;
 
-    Engine eng = makeEngine(kind, cfg.hierarchy, cfg.core, cfg.policy);
-    SystemBase &sys = *eng.system;
-
     // Interval selection is a single-core methodology; a multi-core
     // mix with a file-backed trace replays the full trace per core.
     std::vector<std::unique_ptr<AccessGenerator>> workloads;
-    workloads.reserve(cores);
-    for (std::uint32_t c = 0; c < cores; ++c)
+    std::vector<AccessGenerator *> gens;
+    for (std::uint32_t c = 0; c < cores; ++c) {
         workloads.push_back(
             makeTraceSource(cfg.trace, mix.benchmarks[c], c));
-    std::vector<AccessGenerator *> gens;
-    for (auto &w : workloads)
-        gens.push_back(w.get());
-    applyCellTimeout(sys);
-    sys.enableHostCounters();
-    auto harness = attachObs(eng, cfg.obs);
-
-    const PhaseSpans spans(sys, mix.name + "/" + policyName(kind));
-    const auto threads = sys.run(gens, cfg.warmupInstructions,
-                                 cfg.measureInstructions);
-
+        gens.push_back(workloads.back().get());
+    }
     MulticoreRunResult res;
     res.mix = mix.name;
-    res.policy = policyName(kind);
-    res.hostPerf = obs::hostTotal(sys.phases());
     res.benchmarks = mix.benchmarks;
-    for (const auto &t : threads) {
+    const EngineRun run =
+        runEngine(kind, cfg, gens, mix.name, nullptr, wall_start, res);
+    for (const auto &t : run.threads) {
         res.ipc.push_back(t.ipc);
         res.totalInstructions += t.instructions;
     }
-    if (harness) {
-        res.artifacts = collectObs(*harness, eng, cfg.obs, mix.name,
-                                   res.policy, cfg,
-                                   secondsSince(wall_start));
-    }
-    res.llcMisses = sys.hierarchy().llc().stats().demandMisses;
+    res.llcMisses = run.eng.system->hierarchy().llc().stats().demandMisses;
     res.mpki = mpki(res.llcMisses, res.totalInstructions);
-    if (eng.dbrb) {
-        if (eng.faults)
-            res.faultsInjected = eng.faults->injected();
-        eng.predictor->auditInvariants();
-    }
-    res.wallSeconds = secondsSince(wall_start);
     return res;
 }
 

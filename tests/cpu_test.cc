@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "cache/lru.hh"
 #include "cpu/core_model.hh"
@@ -270,6 +271,31 @@ TEST(SystemTest, SymmetricCoresGetSymmetricIpc)
         max_ipc = std::max(max_ipc, r.ipc);
     }
     EXPECT_LT(max_ipc, min_ipc * 1.2 + 0.01);
+}
+
+TEST(SystemTest, SecondRunWarmsUpForItsFullQuota)
+{
+    // Both phase quotas count from where each core stood when run()
+    // began, so a repeated run on the same system warms up as long as
+    // the first one did — on one core and on two.
+    constexpr InstCount kWarmup = 3000;
+    for (const std::uint32_t cores : {1u, 2u}) {
+        SCOPED_TRACE(cores);
+        System sys(tinyHierarchy(cores), CoreConfig{},
+                   std::make_unique<LruPolicy>(64, 8));
+        ScanGen g0(0, 1024), g1(1ull << 30, 1024);
+        std::vector<AccessGenerator *> gens = {&g0, &g1};
+        gens.resize(cores);
+        for (int pass = 0; pass < 2; ++pass) {
+            SCOPED_TRACE(pass);
+            const auto results = sys.run(gens, kWarmup, 2000);
+            ASSERT_EQ(sys.phases().size(), 2u);
+            EXPECT_STREQ(sys.phases()[0].name, "warmup");
+            EXPECT_GE(sys.phases()[0].instructions, cores * kWarmup);
+            for (const auto &r : results)
+                EXPECT_GE(r.instructions, 2000u);
+        }
+    }
 }
 
 TEST(SystemTest, TickAdvancesWithInstructions)

@@ -132,12 +132,6 @@ class DeadBlockPolicyBase : public ReplacementPolicy
         return faults_.get();
     }
 
-    SDBP_HOT_PATH std::uint32_t
-    rank(std::uint32_t set, std::uint32_t way) const override
-    {
-        return innerBase_->rank(set, way);
-    }
-
     std::string name() const override;
 
   protected:
@@ -302,29 +296,27 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
             // dead block migrates into the cold half within a few
             // fills anyway.  Rank-less defaults (random) keep the
             // unconditional preference.
+            //
+            // One pass ranks every way once: the highest-ranked dead
+            // way (first on ties) is the only candidate, since any
+            // other dead way clears the grace only if it does.
             std::uint32_t max_rank = 0;
-            for (std::uint32_t w = 0; w < assoc_; ++w)
-                max_rank = std::max(max_rank, inner_->rank(set, w));
-            const std::uint32_t grace =
-                max_rank >= assoc_ / 2 ? assoc_ / 2 : 0;
             int best = -1;
             std::uint32_t best_rank = 0;
             for (std::uint32_t w = 0; w < assoc_; ++w) {
-                if (!frames.valid(w))
-                    continue;
-                const bool dead = frames.predictedDead(w) ||
-                    predictor_->isDeadNow(set, w);
-                if (!dead)
-                    continue;
                 const std::uint32_t r = inner_->rank(set, w);
-                if (r < grace)
+                max_rank = std::max(max_rank, r);
+                if (!frames.valid(w) || (best >= 0 && r <= best_rank))
                     continue;
-                if (best < 0 || r > best_rank) {
+                if (frames.predictedDead(w) ||
+                    predictor_->isDeadNow(set, w)) {
                     best = static_cast<int>(w);
                     best_rank = r;
                 }
             }
-            if (best >= 0) {
+            const std::uint32_t grace =
+                max_rank >= assoc_ / 2 ? assoc_ / 2 : 0;
+            if (best >= 0 && best_rank >= grace) {
                 ++stats_.deadEvictions;
                 return static_cast<std::uint32_t>(best);
             }
@@ -357,12 +349,6 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
             frames.setPredictedDead(way, lastPrediction_);
         }
         inner_->onFill(set, way, frames, a);
-    }
-
-    SDBP_HOT_PATH std::uint32_t
-    rank(std::uint32_t set, std::uint32_t way) const override
-    {
-        return inner_->rank(set, way);
     }
 
     /** Forward the set-lane prefetch hint to the wrapped policy. */

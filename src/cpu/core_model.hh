@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "util/hotpath.hh"
 #include "util/types.hh"
 
 namespace sdbp
@@ -48,7 +49,7 @@ class CoreModel
     explicit CoreModel(const CoreConfig &cfg = {});
 
     /** Execute @p n single-cycle non-memory instructions. */
-    void
+    SDBP_HOT_PATH void
     executeNonMem(unsigned n)
     {
         // Fast path for the common steady state behind a long-latency
@@ -92,7 +93,7 @@ class CoreModel
      *        not stall the core
      * @param depends_on_prev_load serialize behind the previous load
      */
-    void
+    SDBP_HOT_PATH void
     executeMem(Cycle latency, bool is_load, bool depends_on_prev_load)
     {
         if (!is_load) {
@@ -130,7 +131,7 @@ class CoreModel
                        const std::string &prefix) const;
 
   private:
-    void
+    SDBP_HOT_PATH void
     dispatch(Cycle completion)
     {
         const std::size_t size = window_.size();

@@ -124,12 +124,6 @@ class ModelCheckedPolicy final : public ReplacementPolicy
         owned_->onFill(set, way, frames, a);
     }
 
-    std::uint32_t
-    rank(std::uint32_t set, std::uint32_t way) const override
-    {
-        return owned_->rank(set, way);
-    }
-
     std::string name() const override { return owned_->name(); }
 
   private:

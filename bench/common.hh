@@ -64,21 +64,6 @@ footer()
 }
 
 /**
- * Run the 19-benchmark subset under one policy (fanned across
- * SDBP_JOBS workers); returns benchmark -> result.
- */
-inline std::map<std::string, RunResult>
-runSubset(PolicyKind kind, const RunConfig &cfg)
-{
-    const sweep::Grid g =
-        sweep::runGrid(memoryIntensiveSubset(), {kind}, cfg);
-    std::map<std::string, RunResult> out;
-    for (std::size_t b = 0; b < g.benchmarks.size(); ++b)
-        out[g.benchmarks[b]] = g.at(b, 0);
-    return out;
-}
-
-/**
  * Machine-readable companion of a bench binary's printed tables.
  * Each binary collects its TextTables here and calls write(), which
  * produces BENCH_<name>.json in the working directory — the same

@@ -101,7 +101,7 @@ main(int argc, char **argv)
         "1.076, TDBP 1.056, RRIP 1.045.\n";
 
     const TextTable tb = runPart(report, "(b) default random cache",
-                                 multicoreRandomPolicies(), cfg);
+                                 randomDefaultPolicies(), cfg);
     std::cout <<
         "Paper reference (gmean): Random Sampler 1.07, Random CDBP "
         "1.06, Random ~1.00.\n"

@@ -316,14 +316,4 @@ multicoreLruPolicies()
     return v;
 }
 
-const std::vector<PolicyKind> &
-multicoreRandomPolicies()
-{
-    static const std::vector<PolicyKind> v = {
-        PolicyKind::Random, PolicyKind::RandomCdbp,
-        PolicyKind::RandomSampler,
-    };
-    return v;
-}
-
 } // namespace sdbp

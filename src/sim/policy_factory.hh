@@ -82,12 +82,11 @@ makePolicy(PolicyKind kind, std::uint32_t num_sets, std::uint32_t assoc,
 
 /** Policies compared in Figs. 4/5 (LRU-default single core). */
 const std::vector<PolicyKind> &lruDefaultPolicies();
-/** Policies compared in Figs. 7/8 (random-default single core). */
+/** Policies compared in Figs. 7/8 (random-default single core) and
+ *  Fig. 10(b) (random-default multi-core). */
 const std::vector<PolicyKind> &randomDefaultPolicies();
 /** Policies compared in Fig. 10(a). */
 const std::vector<PolicyKind> &multicoreLruPolicies();
-/** Policies compared in Fig. 10(b). */
-const std::vector<PolicyKind> &multicoreRandomPolicies();
 
 } // namespace sdbp
 

@@ -86,7 +86,6 @@ TEST(PolicyFactory, PolicyLists)
     EXPECT_EQ(lruDefaultPolicies().size(), 5u);
     EXPECT_EQ(randomDefaultPolicies().size(), 3u);
     EXPECT_EQ(multicoreLruPolicies().size(), 5u);
-    EXPECT_EQ(multicoreRandomPolicies().size(), 3u);
 }
 
 TEST(RunConfigTest, SingleCoreDefaultsMatchPaperGeometry)

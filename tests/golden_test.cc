@@ -328,8 +328,8 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * Multi-core cells: Table IV's mix1 on the quad-core 8 MB LLC
  * (Sec. VI-A2), pinning the core interleave, the staggered warm-up
- * finish (each core leaves warm-up at its own instruction count) and
- * the restart of finished programs.  Built from the defaults, like
+ * finish (cores reach the warm-up quota at different times) and the
+ * restart of finished programs.  Built from the defaults, like
  * goldenConfig(), at a budget that keeps the cell under a second.
  */
 RunConfig

@@ -604,28 +604,4 @@ runManifestCell(const SweepManifest &manifest, std::size_t index,
     return metrics;
 }
 
-Grid
-runGrid(std::vector<std::string> benchmarks,
-        std::vector<PolicyKind> policies, const RunConfig &cfg,
-        unsigned jobs)
-{
-    SweepOptions opts;
-    opts.jobs = jobs;
-    opts.retries = defaultRetries();
-    return runGrid(std::move(benchmarks), std::move(policies), cfg,
-                   opts);
-}
-
-MixGrid
-runMixGrid(std::vector<MixProfile> mixes,
-           std::vector<PolicyKind> policies, const RunConfig &cfg,
-           unsigned jobs)
-{
-    SweepOptions opts;
-    opts.jobs = jobs;
-    opts.retries = defaultRetries();
-    return runMixGrid(std::move(mixes), std::move(policies), cfg,
-                      opts);
-}
-
 } // namespace sdbp::sweep

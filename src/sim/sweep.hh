@@ -186,15 +186,6 @@ MixGrid runMixGrid(std::vector<MixProfile> mixes,
                    std::vector<PolicyKind> policies,
                    const RunConfig &cfg, const SweepOptions &opts);
 
-/** Back-compat convenience: plain sweep with @p jobs workers. */
-Grid runGrid(std::vector<std::string> benchmarks,
-             std::vector<PolicyKind> policies, const RunConfig &cfg,
-             unsigned jobs = defaultJobs());
-MixGrid runMixGrid(std::vector<MixProfile> mixes,
-                   std::vector<PolicyKind> policies,
-                   const RunConfig &cfg,
-                   unsigned jobs = defaultJobs());
-
 /**
  * One attempt at cell @p index of the sweep @p manifest describes:
  * the worker-process side of the cell lifecycle that runGrid and

@@ -170,10 +170,14 @@ TEST(FaultDeterminism, IndependentOfJobCount)
     const std::vector<std::string> benchmarks(subset.begin(),
                                               subset.begin() + 3);
 
+    sweep::SweepOptions serial_opts;
+    serial_opts.jobs = 1;
+    sweep::SweepOptions parallel_opts;
+    parallel_opts.jobs = 4;
     const sweep::Grid serial =
-        sweep::runGrid(benchmarks, kFaultablePolicies, cfg, 1);
+        sweep::runGrid(benchmarks, kFaultablePolicies, cfg, serial_opts);
     const sweep::Grid parallel =
-        sweep::runGrid(benchmarks, kFaultablePolicies, cfg, 4);
+        sweep::runGrid(benchmarks, kFaultablePolicies, cfg, parallel_opts);
     ASSERT_EQ(serial.cells.size(), parallel.cells.size());
     for (std::size_t i = 0; i < serial.cells.size(); ++i) {
         const RunResult &a = serial.cells[i];

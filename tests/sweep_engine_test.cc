@@ -34,6 +34,15 @@ tinyConfig()
     return cfg;
 }
 
+/** Sweep options with @p jobs workers and everything else default. */
+sweep::SweepOptions
+withJobs(unsigned jobs)
+{
+    sweep::SweepOptions opts;
+    opts.jobs = jobs;
+    return opts;
+}
+
 void
 expectSameRun(const RunResult &a, const RunResult &b)
 {
@@ -63,7 +72,8 @@ TEST(SweepEngine, GridMatchesSerialLoop)
     const std::vector<PolicyKind> policies = {PolicyKind::Lru,
                                               PolicyKind::Sampler};
 
-    const sweep::Grid par = sweep::runGrid(benches, policies, cfg, 4);
+    const sweep::Grid par =
+        sweep::runGrid(benches, policies, cfg, withJobs(4));
     ASSERT_EQ(par.cells.size(), benches.size() * policies.size());
     EXPECT_EQ(par.benchmarks, benches);
 
@@ -81,8 +91,10 @@ TEST(SweepEngine, JobCountDoesNotChangeResults)
     const std::vector<std::string> benches = {"429.mcf", "403.gcc"};
     const std::vector<PolicyKind> policies = {PolicyKind::Sampler};
 
-    const sweep::Grid one = sweep::runGrid(benches, policies, cfg, 1);
-    const sweep::Grid four = sweep::runGrid(benches, policies, cfg, 4);
+    const sweep::Grid one =
+        sweep::runGrid(benches, policies, cfg, withJobs(1));
+    const sweep::Grid four =
+        sweep::runGrid(benches, policies, cfg, withJobs(4));
     ASSERT_EQ(one.cells.size(), four.cells.size());
     for (std::size_t i = 0; i < one.cells.size(); ++i)
         expectSameRun(one.cells[i], four.cells[i]);
@@ -107,8 +119,8 @@ TEST(SweepEngine, ArtifactsAreDeterministicModuloProfile)
     const std::vector<std::string> benches = {"456.hmmer"};
     const std::vector<PolicyKind> policies = {PolicyKind::Sampler};
 
-    const sweep::Grid a = sweep::runGrid(benches, policies, cfg, 1);
-    const sweep::Grid b = sweep::runGrid(benches, policies, cfg, 2);
+    const sweep::Grid a = sweep::runGrid(benches, policies, cfg, withJobs(1));
+    const sweep::Grid b = sweep::runGrid(benches, policies, cfg, withJobs(2));
     ASSERT_TRUE(a.at(0, 0).artifacts);
     ASSERT_TRUE(b.at(0, 0).artifacts);
     // The profile and timing sections carry wall-clock seconds;
@@ -131,7 +143,7 @@ TEST(SweepEngine, MixGridMatchesSerialLoop)
                                               PolicyKind::Sampler};
 
     const sweep::MixGrid par =
-        sweep::runMixGrid(mixes, policies, cfg, 4);
+        sweep::runMixGrid(mixes, policies, cfg, withJobs(4));
     ASSERT_EQ(par.cells.size(), mixes.size() * policies.size());
 
     for (std::size_t m = 0; m < mixes.size(); ++m)

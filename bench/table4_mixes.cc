@@ -48,9 +48,11 @@ main(int argc, char **argv)
     for (std::size_t m = 0; m < mixes.size(); ++m) {
         const auto &mix = mixes[m];
         std::string benches;
-        for (const auto &b : mix.benchmarks)
-            benches += (benches.empty() ? "" : " ") +
-                bench::shortName(b);
+        for (const auto &b : mix.benchmarks) {
+            if (!benches.empty())
+                benches += ' ';
+            benches += bench::shortName(b);
+        }
         auto &row = t.row().cell(mix.name).cell(benches);
         for (std::size_t s = 0; s < llc_sets.size(); ++s) {
             const auto &r = cells[m * llc_sets.size() + s];

@@ -1,6 +1,8 @@
 #include "cache/dead_block_policy.hh"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "obs/stat_registry.hh"
 #include "util/stats.hh"

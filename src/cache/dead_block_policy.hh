@@ -3,9 +3,11 @@
  * The dead-block replacement and bypass (DBRB) policy of Sec. V:
  * wraps a default policy (LRU or random) and a dead block predictor.
  *
- *  - Victim selection prefers a predicted-dead block (the one
- *    closest to eviction by the default policy's ranking), falling
- *    back on the default victim.
+ *  - Victim selection prefers a predicted-dead block, falling back
+ *    on the default victim.  Over LRU, the one default policy with
+ *    a recency order, that is the dead block closest to LRU, and
+ *    only once it has aged into the colder half of the stack (the
+ *    recency grace); over random, the first dead block.
  *  - A block predicted dead on arrival bypasses the cache.
  *  - Every demand access re-predicts and stores the single
  *    predicted-dead metadata bit in the block.
@@ -16,15 +18,15 @@
  * binds the wrapped policy and predictor types at compile time so
  * the whole onAccess -> predictor -> inner chain runs without a
  * virtual dispatch (DESIGN.md §12).  The factory builds every DBRB
- * kind this way.  `DeadBlockPolicy` is the fully type-erased alias,
- * for components known only through their virtual interfaces.
+ * kind this way.  Whether the default policy has a recency order is
+ * decided from Inner's type, so a DBRB over the ReplacementPolicy
+ * interface itself gets no recency grace.
  */
 
 #ifndef SDBP_CACHE_DEAD_BLOCK_POLICY_HH
 #define SDBP_CACHE_DEAD_BLOCK_POLICY_HH
 
-#include <algorithm>
-#include <cassert>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -281,42 +283,52 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
     victim(std::uint32_t set, SetView frames, const Access &a) override
     {
         if (cfg_.enableDeadReplacement) {
-            // Pick the predicted-dead block closest to eviction by
-            // the default policy's own ranking.  Interval/time-based
-            // predictors additionally report blocks that have become
-            // dead since their last access (isDeadNow; a constant
-            // false for the others once Pred is a final class).
-            //
-            // A recency grace period protects against
-            // mispredictions: when the default policy exposes a
-            // meaningful recency ranking (LRU and friends), only
-            // dead-marked blocks in the colder half of the stack are
-            // preferred — a freshly touched block whose mark is
-            // wrong gets a chance to prove itself, while a genuinely
-            // dead block migrates into the cold half within a few
-            // fills anyway.  Rank-less defaults (random) keep the
-            // unconditional preference.
-            //
-            // One pass ranks every way once: the highest-ranked dead
-            // way (first on ties) is the only candidate, since any
-            // other dead way clears the grace only if it does.
-            std::uint32_t max_rank = 0;
+            // Prefer a valid predicted-dead block.  Interval and
+            // time-based predictors additionally report blocks that
+            // have become dead since their last access (isDeadNow; a
+            // constant false for the others once Pred is final).
             int best = -1;
-            std::uint32_t best_rank = 0;
-            for (std::uint32_t w = 0; w < assoc_; ++w) {
-                const std::uint32_t r = inner_->rank(set, w);
-                max_rank = std::max(max_rank, r);
-                if (!frames.valid(w) || (best >= 0 && r <= best_rank))
-                    continue;
-                if (frames.predictedDead(w) ||
-                    predictor_->isDeadNow(set, w)) {
-                    best = static_cast<int>(w);
-                    best_rank = r;
+            if constexpr (requires(const Inner &p, std::uint32_t s,
+                                   std::uint32_t w) {
+                              p.stamp(s, w);
+                              p.stackPosition(s, w);
+                          }) {
+                // A default policy with a recency order (LRU): the
+                // dead block closest to LRU is the one with the
+                // oldest stamp.  A recency grace period protects
+                // against mispredictions: it is preferred only from
+                // the colder half of the stack, so a freshly touched
+                // block whose mark is wrong gets a chance to prove
+                // itself, while a genuinely dead block migrates into
+                // the cold half within a few fills anyway.
+                std::int64_t oldest = 0;
+                for (std::uint32_t w = 0; w < assoc_; ++w) {
+                    if (!frames.valid(w))
+                        continue;
+                    const std::int64_t st = inner_->stamp(set, w);
+                    if (best >= 0 && st >= oldest)
+                        continue;
+                    if (frames.predictedDead(w) ||
+                        predictor_->isDeadNow(set, w)) {
+                        best = static_cast<int>(w);
+                        oldest = st;
+                    }
                 }
+                if (best >= 0 &&
+                    inner_->stackPosition(
+                        set, static_cast<std::uint32_t>(best)) <
+                        assoc_ / 2)
+                    best = -1;
+            } else {
+                // No recency order (random): the first dead block,
+                // with no grace.
+                for (std::uint32_t w = 0; w < assoc_ && best < 0; ++w)
+                    if (frames.valid(w) &&
+                        (frames.predictedDead(w) ||
+                         predictor_->isDeadNow(set, w)))
+                        best = static_cast<int>(w);
             }
-            const std::uint32_t grace =
-                max_rank >= assoc_ / 2 ? assoc_ / 2 : 0;
-            if (best >= 0 && best_rank >= grace) {
+            if (best >= 0) {
                 ++stats_.deadEvictions;
                 return static_cast<std::uint32_t>(best);
             }
@@ -365,11 +377,6 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
     std::unique_ptr<Inner> inner_;
     std::unique_ptr<Pred> predictor_;
 };
-
-/** The type-erased DBRB: virtual inner/predictor dispatch, for
- *  user-supplied components. */
-using DeadBlockPolicy =
-    BasicDeadBlockPolicy<ReplacementPolicy, DeadBlockPredictor>;
 
 } // namespace sdbp
 

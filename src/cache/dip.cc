@@ -98,12 +98,6 @@ DipPolicy::onFill(std::uint32_t set, std::uint32_t way, SetView frames,
     }
 }
 
-std::uint32_t
-DipPolicy::rank(std::uint32_t set, std::uint32_t way) const
-{
-    return lru_.rank(set, way);
-}
-
 std::string
 DipPolicy::name() const
 {

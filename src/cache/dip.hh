@@ -53,9 +53,10 @@ class DipPolicy final : public ReplacementPolicy
                          const Access &a) override;
     void onFill(std::uint32_t set, std::uint32_t way, SetView frames,
                 const Access &a) override;
-    std::uint32_t rank(std::uint32_t set, std::uint32_t way)
-        const override;
     std::string name() const override;
+
+    /** The recency stack insertions are placed into (test hook). */
+    const LruPolicy &lru() const { return lru_; }
 
     /** Current PSEL value of a thread (test hook). */
     std::uint32_t psel(ThreadId t) const { return psel_.at(t); }

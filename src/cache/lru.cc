@@ -1,15 +1,13 @@
 #include "cache/lru.hh"
 
-#include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace sdbp
 {
 
 LruPolicy::LruPolicy(std::uint32_t num_sets, std::uint32_t assoc)
     : ReplacementPolicy(num_sets, assoc), stamp_(num_sets * assoc),
-      scratch_(assoc), high_(num_sets, 0), low_(num_sets)
+      high_(num_sets, 0), low_(num_sets)
 {
     // Initial order: way w sits at stack position w, i.e. way 0 is
     // MRU.  Stamps within a set must be distinct.
@@ -24,40 +22,11 @@ void
 LruPolicy::moveTo(std::uint32_t set, std::uint32_t way,
                   std::uint32_t target_pos)
 {
-    auto *base = &stamp_[set * assoc_];
-    if (target_pos == 0) {
-        base[way] = ++high_[set];
-        return;
-    }
-    if (target_pos == assoc_ - 1) {
-        base[way] = --low_[set];
-        return;
-    }
-
-    // Interior insertion: rebuild the set's order with `way` at
-    // `target_pos` and re-stamp every frame.  Uses the ctor-allocated
-    // scratch buffer — the hot path must not allocate.
-    assert(target_pos < assoc_);
-    auto &order = scratch_;
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return base[a] > base[b];
-              });
-    std::uint32_t next = 0;
-    for (std::uint32_t r = 0; r < assoc_; ++r) {
-        std::uint32_t w;
-        if (r == target_pos) {
-            w = way;
-        } else {
-            while (order[next] == way)
-                ++next;
-            w = order[next++];
-        }
-        base[w] = high_[set] - static_cast<std::int64_t>(r);
-    }
-    low_[set] = std::min(low_[set],
-                         high_[set] - static_cast<std::int64_t>(assoc_));
+    assert(target_pos == 0 || target_pos == assoc_ - 1);
+    if (target_pos == 0)
+        stamp_[set * assoc_ + way] = ++high_[set];
+    else
+        stamp_[set * assoc_ + way] = --low_[set];
 }
 
 } // namespace sdbp

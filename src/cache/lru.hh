@@ -12,7 +12,10 @@
  * single store instead of an O(assoc) stack shift.  Stamps within a
  * set are always distinct, so the induced order is a total recency
  * order identical to an explicit-position LRU stack; the stack view
- * (rank / stackPosition / victim) is recovered by comparing stamps.
+ * (stackPosition / victim) is recovered by comparing stamps.  That
+ * order is what makes LRU the one default policy with a recency
+ * order: the DBRB reads stamp() and stackPosition() to find the
+ * predicted-dead block closest to LRU (dead_block_policy.hh).
  */
 
 #ifndef SDBP_CACHE_LRU_HH
@@ -30,7 +33,7 @@ namespace sdbp
 {
 
 /**
- * True LRU: rank 0 is MRU, rank assoc-1 is LRU.
+ * True LRU: stack position 0 is MRU, assoc-1 is LRU.
  */
 class LruPolicy final : public ReplacementPolicy
 {
@@ -67,8 +70,21 @@ class LruPolicy final : public ReplacementPolicy
         stamp_[set * assoc_ + way] = ++high_[set];
     }
 
+    std::string name() const override { return "lru"; }
+
+    /**
+     * Recency stamp of a way: larger = more recently used, distinct
+     * within a set.
+     */
+    SDBP_HOT_PATH std::int64_t
+    stamp(std::uint32_t set, std::uint32_t way) const
+    {
+        return stamp_[set * assoc_ + way];
+    }
+
+    /** Current stack position of a way (0 = MRU). */
     SDBP_HOT_PATH std::uint32_t
-    rank(std::uint32_t set, std::uint32_t way) const override
+    stackPosition(std::uint32_t set, std::uint32_t way) const
     {
         const auto *base = &stamp_[set * assoc_];
         const std::int64_t mine = base[way];
@@ -78,20 +94,10 @@ class LruPolicy final : public ReplacementPolicy
         return r;
     }
 
-    std::string name() const override { return "lru"; }
-
-    /** Current stack position of a way (0 = MRU). */
-    std::uint32_t
-    stackPosition(std::uint32_t set, std::uint32_t way) const
-    {
-        return rank(set, way);
-    }
-
     /**
-     * Promote a way to a given stack position (0 = MRU); used by the
-     * insertion-policy variants (LIP/BIP) that install at LRU.  The
-     * two positions insertion policies use — MRU and LRU — are O(1);
-     * an interior position rebuilds the set's order.
+     * Move a way to the MRU (@p target_pos 0) or the LRU (@p
+     * target_pos assoc-1) end of the stack, in O(1); used by the
+     * insertion-policy variants (LIP/BIP) that install at LRU.
      */
     void moveTo(std::uint32_t set, std::uint32_t way,
                 std::uint32_t target_pos);
@@ -109,9 +115,6 @@ class LruPolicy final : public ReplacementPolicy
   private:
     /** stamp_[set * assoc + way]: larger = more recently used. */
     ArenaVector<std::int64_t> stamp_;
-    /** Scratch way ordering for interior moveTo, allocated once so
-     *  the hot path never touches the heap. */
-    ArenaVector<std::uint32_t> scratch_;
     /** Per-set MRU clock (counts up). */
     ArenaVector<std::int64_t> high_;
     /** Per-set LRU clock (counts down). */

@@ -83,30 +83,6 @@ TreePlruPolicy::onFill(std::uint32_t set, std::uint32_t way,
     touch(set, way);
 }
 
-std::uint32_t
-TreePlruPolicy::rank(std::uint32_t set, std::uint32_t way) const
-{
-    // Approximate eviction preference: how early the cold-pointer
-    // walk would reach this way.  Count matching cold-pointer steps.
-    const auto *base =
-        &bits_[static_cast<std::size_t>(set) * (assoc_ - 1)];
-    std::uint32_t node = 0;
-    std::uint32_t lo = 0, hi = assoc_;
-    std::uint32_t cold_steps = 0;
-    while (hi - lo > 1) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        const bool go_left = way < mid;
-        const bool cold_left = base[node] == 0;
-        cold_steps += (go_left == cold_left);
-        node = go_left ? 2 * node + 1 : 2 * node + 2;
-        if (go_left)
-            hi = mid;
-        else
-            lo = mid;
-    }
-    return cold_steps;
-}
-
 NruPolicy::NruPolicy(std::uint32_t num_sets, std::uint32_t assoc)
     : ReplacementPolicy(num_sets, assoc),
       ref_(static_cast<std::size_t>(num_sets) * assoc, 0)
@@ -156,12 +132,6 @@ NruPolicy::onFill(std::uint32_t set, std::uint32_t way, SetView frames,
     (void)frames;
     (void)a;
     markReferenced(set, way);
-}
-
-std::uint32_t
-NruPolicy::rank(std::uint32_t set, std::uint32_t way) const
-{
-    return ref_[static_cast<std::size_t>(set) * assoc_ + way] ? 0 : 1;
 }
 
 } // namespace sdbp

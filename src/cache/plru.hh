@@ -38,8 +38,6 @@ class TreePlruPolicy final : public ReplacementPolicy
                          const Access &a) override;
     void onFill(std::uint32_t set, std::uint32_t way, SetView frames,
                 const Access &a) override;
-    std::uint32_t rank(std::uint32_t set, std::uint32_t way)
-        const override;
     std::string name() const override { return "tree-plru"; }
 
     /** State bits per set (test hook). */
@@ -65,8 +63,6 @@ class NruPolicy final : public ReplacementPolicy
                          const Access &a) override;
     void onFill(std::uint32_t set, std::uint32_t way, SetView frames,
                 const Access &a) override;
-    std::uint32_t rank(std::uint32_t set, std::uint32_t way)
-        const override;
     std::string name() const override { return "nru"; }
 
     bool

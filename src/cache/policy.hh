@@ -16,6 +16,11 @@
  * Policies read frame state and flip the predicted-dead bit through
  * the view; they never see the cache's cold lanes (owner, tick
  * accounting).
+ *
+ * The interface exposes no eviction order.  The DBRB's "dead block
+ * closest to LRU" (Sec. II-A4) reads recency from the concrete
+ * default policy type at compile time; LruPolicy is the only default
+ * policy with a recency order (dead_block_policy.hh).
  */
 
 #ifndef SDBP_CACHE_POLICY_HH
@@ -157,19 +162,6 @@ class ReplacementPolicy
     /** A new block was just installed in (set, way). */
     virtual void onFill(std::uint32_t set, std::uint32_t way,
                         SetView frames, const Access &a) = 0;
-
-    /**
-     * Eviction preference of a resident block: larger means closer
-     * to eviction.  Used by the dead-block wrapper to pick the
-     * predicted-dead block "closest to LRU" (Sec. II-A4).
-     */
-    virtual std::uint32_t
-    rank(std::uint32_t set, std::uint32_t way) const
-    {
-        (void)set;
-        (void)way;
-        return 0;
-    }
 
     virtual std::string name() const = 0;
 

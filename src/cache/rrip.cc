@@ -117,12 +117,6 @@ RripPolicy::onFill(std::uint32_t set, std::uint32_t way, SetView frames,
     rrpv_[set * assoc_ + way] = insert;
 }
 
-std::uint32_t
-RripPolicy::rank(std::uint32_t set, std::uint32_t way) const
-{
-    return rrpv_[set * assoc_ + way];
-}
-
 std::string
 RripPolicy::name() const
 {

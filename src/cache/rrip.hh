@@ -52,8 +52,6 @@ class RripPolicy final : public ReplacementPolicy
                          const Access &a) override;
     void onFill(std::uint32_t set, std::uint32_t way, SetView frames,
                 const Access &a) override;
-    std::uint32_t rank(std::uint32_t set, std::uint32_t way)
-        const override;
     std::string name() const override;
 
     /** RRPV of a way (test hook). */

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -104,16 +107,6 @@ TEST(LruPolicyTest, MoveToLruPosition)
     EXPECT_EQ(positions.size(), 4u);
 }
 
-TEST(LruPolicyTest, RankMatchesStackPosition)
-{
-    LruPolicy lru(1, 4);
-    FrameSet fs(4, true);
-    const Access info = demand(0);
-    lru.onAccess(0, 1, fs.view(), info);
-    EXPECT_EQ(lru.rank(0, 1), 0u);
-    EXPECT_GT(lru.rank(0, 0), 0u);
-}
-
 TEST(LruPolicyTest, SetsAreIndependent)
 {
     LruPolicy lru(2, 2);
@@ -203,7 +196,7 @@ TEST(DipPolicyTest, BipLeaderInsertsAtLruMostly)
     unsigned lru_inserts = 0;
     for (int i = 0; i < 320; ++i) {
         dip.onFill(bip_leader, 3, fs.view(), demand(0));
-        lru_inserts += dip.rank(bip_leader, 3) == 15;
+        lru_inserts += dip.lru().stackPosition(bip_leader, 3) == 15;
     }
     // All but ~1/32 of fills land at the LRU position.
     EXPECT_GT(lru_inserts, 280u);
@@ -218,7 +211,7 @@ TEST(DipPolicyTest, LruLeaderInsertsAtMru)
     while (!dip.isLruLeader(lru_leader, 0))
         ++lru_leader;
     dip.onFill(lru_leader, 5, fs.view(), demand(0));
-    EXPECT_EQ(dip.rank(lru_leader, 5), 0u);
+    EXPECT_EQ(dip.lru().stackPosition(lru_leader, 5), 0u);
 }
 
 TEST(DipPolicyTest, TadipKeepsPerThreadPsel)
@@ -328,6 +321,9 @@ TEST(RripPolicyTest, DrripDuelsViaPsel)
 
 // ---- Dead-block wrapper ----
 
+/** DBRB over LRU (recency grace) with a virtual predictor. */
+using LruDbrb = BasicDeadBlockPolicy<LruPolicy, DeadBlockPredictor>;
+
 /** Scripted predictor: predicts "dead" iff the PC is in a set. */
 class ScriptedPredictor : public DeadBlockPredictor
 {
@@ -363,9 +359,8 @@ makeDbrbCache(ScriptedPredictor *&predictor_out,
 {
     auto predictor = std::make_unique<ScriptedPredictor>();
     predictor_out = predictor.get();
-    auto policy = std::make_unique<DeadBlockPolicy>(
-        std::make_unique<LruPolicy>(4, assoc), std::move(predictor),
-        cfg);
+    auto policy = std::make_unique<LruDbrb>(
+        std::make_unique<LruPolicy>(4, assoc), std::move(predictor), cfg);
     CacheConfig ccfg;
     ccfg.numSets = 4;
     ccfg.assoc = assoc;
@@ -447,6 +442,161 @@ TEST(DeadBlockPolicyTest, FreshDeadMarksGetARecencyGrace)
     // The fresh dead mark survived; the true LRU (0x00) went.
     EXPECT_TRUE(cache->probe(0x0c));
     EXPECT_FALSE(cache->probe(0x00));
+}
+
+/** ScriptedPredictor that also reports scripted frames as dead now
+ *  (the interval/time-based predictors' isDeadNow). */
+class DeadNowPredictor : public ScriptedPredictor
+{
+  public:
+    std::set<std::pair<std::uint32_t, std::uint32_t>> deadNow;
+
+    bool
+    isDeadNow(std::uint32_t set, std::uint32_t way) const override
+    {
+        return deadNow.count({set, way}) > 0;
+    }
+};
+
+/**
+ * Reference dead victim computed from a per-way eviction rank
+ * (larger = closer to eviction): the highest-ranked valid dead way,
+ * first on ties, accepted if its rank reaches a grace of assoc/2
+ * when the set's highest rank reaches assoc/2, else a grace of 0.
+ * -1 = no dead victim.
+ */
+int
+rankedDeadVictim(const std::vector<std::uint32_t> &rank, SetView frames,
+                 const DeadNowPredictor &pred, std::uint32_t set)
+{
+    const std::uint32_t assoc = frames.assoc();
+    std::uint32_t max_rank = 0;
+    int best = -1;
+    for (std::uint32_t w = 0; w < assoc; ++w) {
+        max_rank = std::max(max_rank, rank[w]);
+        const bool dead =
+            frames.predictedDead(w) || pred.isDeadNow(set, w);
+        if (frames.valid(w) && dead &&
+            (best < 0 || rank[w] > rank[static_cast<std::uint32_t>(best)]))
+            best = static_cast<int>(w);
+    }
+    const std::uint32_t grace = max_rank >= assoc / 2 ? assoc / 2 : 0;
+    if (best >= 0 && rank[static_cast<std::uint32_t>(best)] >= grace)
+        return best;
+    return -1;
+}
+
+/**
+ * Drive a DBRB over @p Inner directly with random hits, misses,
+ * fills, invalidations, dead marks and isDeadNow scripts, and check
+ * every victim and the deadEvictions count against rankedDeadVictim
+ * over the inner policy's ranks (LRU: stackPosition; random: all 0).
+ * A twin of the inner policy supplies the expected fallback victim.
+ * Returns how many dead candidates the grace turned away.
+ */
+template <class Inner>
+std::uint64_t
+checkVictimsAgainstRanking(std::uint32_t sets, std::uint32_t assoc,
+                           std::uint64_t seed)
+{
+    constexpr PC kLive = 0x400000;
+    constexpr PC kDead = 0x400abc;
+    const auto make_inner = [&] {
+        if constexpr (std::is_same_v<Inner, RandomPolicy>)
+            return std::make_unique<Inner>(sets, assoc, seed);
+        else
+            return std::make_unique<Inner>(sets, assoc);
+    };
+    auto pred_owner = std::make_unique<DeadNowPredictor>();
+    pred_owner->deadPcs.insert(kDead);
+    BasicDeadBlockPolicy<Inner, DeadNowPredictor> policy(
+        make_inner(), std::move(pred_owner));
+    DeadNowPredictor &pred = policy.typedPredictor();
+    auto twin = make_inner();
+    std::vector<FrameSet> frames(sets, FrameSet(assoc));
+
+    Rng rng(seed);
+    Addr next_tag = 0;
+    std::uint64_t dead_evictions = 0;
+    std::uint64_t graced = 0;
+    for (int step = 0; step < 4000; ++step) {
+        const auto set = static_cast<std::uint32_t>(rng.below(sets));
+        const auto way = static_cast<std::uint32_t>(rng.below(assoc));
+        SetView view = frames[set].view();
+        const Access a = demand(next_tag, rng.below(3) ? kLive : kDead);
+        const std::uint64_t op = rng.below(100);
+        if (op < 30) {
+            if (!view.valid(way))
+                continue;
+            policy.onAccess(set, static_cast<int>(way), view, a);
+            twin->onAccess(set, static_cast<int>(way), view, a);
+        } else if (op < 40) {
+            view.setPredictedDead(way, !view.predictedDead(way));
+        } else if (op < 50) {
+            if (!pred.deadNow.erase({set, way}))
+                pred.deadNow.insert({set, way});
+        } else if (op < 55) {
+            if (!view.valid(way))
+                continue;
+            policy.onEvict(set, way, view);
+            twin->onEvict(set, way, view);
+            frames[set].tags[way] = SetView::kNoBlock;
+            frames[set].state[way] = 0;
+        } else {
+            policy.onAccess(set, -1, view, a);
+            twin->onAccess(set, -1, view, a);
+            std::vector<std::uint32_t> rank(assoc, 0);
+            if constexpr (std::is_same_v<Inner, LruPolicy>)
+                for (std::uint32_t w = 0; w < assoc; ++w)
+                    rank[w] = policy.typedInner().stackPosition(set, w);
+            const int dead = rankedDeadVictim(rank, view, pred, set);
+            bool dead_candidate = false;
+            for (std::uint32_t w = 0; w < assoc; ++w)
+                dead_candidate |= view.valid(w) &&
+                    (view.predictedDead(w) || pred.isDeadNow(set, w));
+            graced += dead < 0 && dead_candidate;
+            const std::uint32_t expected =
+                dead >= 0 ? static_cast<std::uint32_t>(dead)
+                          : twin->victim(set, view, a);
+            dead_evictions += dead >= 0;
+            const std::uint32_t v = policy.victim(set, view, a);
+            EXPECT_EQ(v, expected) << "step " << step << " set " << set;
+            EXPECT_EQ(policy.dbrbStats().deadEvictions, dead_evictions)
+                << "step " << step;
+            if (v != expected)
+                return graced;
+            if (view.valid(v)) {
+                policy.onEvict(set, v, view);
+                twin->onEvict(set, v, view);
+            }
+            frames[set].tags[v] = next_tag++;
+            frames[set].state[v] = SetView::kValid;
+            policy.onFill(set, v, view, a);
+            twin->onFill(set, v, view, a);
+        }
+    }
+    EXPECT_GT(dead_evictions, 0u);
+    return graced;
+}
+
+TEST(DeadBlockPolicyTest, VictimMatchesRankedReference)
+{
+    for (const std::uint32_t sets : {3u, 5u, 7u}) {
+        for (const std::uint32_t assoc : {1u, 2u, 3u, 5u, 11u, 16u, 17u}) {
+            SCOPED_TRACE(testing::Message() << sets << "x" << assoc);
+            const std::uint64_t seed = sets * 1000 + assoc;
+            const std::uint64_t lru_graced =
+                checkVictimsAgainstRanking<LruPolicy>(sets, assoc, seed);
+            // A grace of assoc/2 turns candidates away once assoc > 1.
+            if (assoc > 1)
+                EXPECT_GT(lru_graced, 0u);
+            else
+                EXPECT_EQ(lru_graced, 0u);
+            EXPECT_EQ(
+                checkVictimsAgainstRanking<RandomPolicy>(sets, assoc, seed),
+                0u);
+        }
+    }
 }
 
 TEST(DeadBlockPolicyTest, HitOnDeadBlockCountsFalsePositive)
@@ -615,7 +765,7 @@ TEST(DeadBlockPolicyTest, BypassReusesMatchReferenceModel)
             auto predictor = std::make_unique<ScriptedPredictor>();
             predictor->deadPcs.insert(kDead);
             auto checked = std::make_unique<ModelCheckedPolicy>(
-                std::make_unique<DeadBlockPolicy>(
+                std::make_unique<LruDbrb>(
                     std::make_unique<LruPolicy>(g.sets, g.assoc),
                     std::move(predictor), cfg));
             const ModelCheckedPolicy &policy = *checked;

@@ -117,7 +117,8 @@ TEST(Prefetcher, InstallsIntoPredictedDeadFrames)
     scfg.sampler.assoc = 2;
     auto predictor = std::make_unique<SamplingDeadBlockPredictor>(4, 2, scfg);
     auto *pred = predictor.get();
-    auto policy = std::make_unique<DeadBlockPolicy>(
+    auto policy = std::make_unique<
+        BasicDeadBlockPolicy<LruPolicy, DeadBlockPredictor>>(
         std::make_unique<LruPolicy>(4, 2), std::move(predictor));
     CacheConfig ccfg;
     ccfg.numSets = 4;

@@ -7,7 +7,8 @@
  *    on the default victim.  Over LRU, the one default policy with
  *    a recency order, that is the dead block closest to LRU, and
  *    only once it has aged into the colder half of the stack (the
- *    recency grace); over random, the first dead block.
+ *    recency grace): a walk of LRU's stack from the LRU end down to
+ *    position assoc/2.  Over random it is the first dead block.
  *  - A block predicted dead on arrival bypasses the cache.
  *  - Every demand access re-predicts and stores the single
  *    predicted-dead metadata bit in the block.
@@ -289,36 +290,25 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
             // constant false for the others once Pred is final).
             int best = -1;
             if constexpr (requires(const Inner &p, std::uint32_t s,
-                                   std::uint32_t w) {
-                              p.stamp(s, w);
-                              p.stackPosition(s, w);
+                                   std::uint32_t pos) {
+                              p.wayAt(s, pos);
                           }) {
                 // A default policy with a recency order (LRU): the
-                // dead block closest to LRU is the one with the
-                // oldest stamp.  A recency grace period protects
-                // against mispredictions: it is preferred only from
+                // dead block closest to LRU, found by walking the
+                // stack from its LRU end.  A recency grace period
+                // protects against mispredictions: the walk stops at
                 // the colder half of the stack, so a freshly touched
                 // block whose mark is wrong gets a chance to prove
                 // itself, while a genuinely dead block migrates into
                 // the cold half within a few fills anyway.
-                std::int64_t oldest = 0;
-                for (std::uint32_t w = 0; w < assoc_; ++w) {
-                    if (!frames.valid(w))
-                        continue;
-                    const std::int64_t st = inner_->stamp(set, w);
-                    if (best >= 0 && st >= oldest)
-                        continue;
-                    if (frames.predictedDead(w) ||
-                        predictor_->isDeadNow(set, w)) {
+                for (std::uint32_t pos = assoc_;
+                     pos > assoc_ / 2 && best < 0; --pos) {
+                    const std::uint32_t w = inner_->wayAt(set, pos - 1);
+                    if (frames.valid(w) &&
+                        (frames.predictedDead(w) ||
+                         predictor_->isDeadNow(set, w)))
                         best = static_cast<int>(w);
-                        oldest = st;
-                    }
                 }
-                if (best >= 0 &&
-                    inner_->stackPosition(
-                        set, static_cast<std::uint32_t>(best)) <
-                        assoc_ / 2)
-                    best = -1;
             } else {
                 // No recency order (random): the first dead block,
                 // with no grace.

@@ -6,23 +6,23 @@
  * the devirtualized BasicCache<LruPolicy> instantiation inlines the
  * whole recency update into the access loop.
  *
- * Recency is kept as per-frame timestamps drawn from two per-set
- * clocks (one counting up for MRU insertions, one counting down for
- * LRU insertions), so the hot hooks — hit promotion and fill — are a
- * single store instead of an O(assoc) stack shift.  Stamps within a
- * set are always distinct, so the induced order is a total recency
- * order identical to an explicit-position LRU stack; the stack view
- * (stackPosition / victim) is recovered by comparing stamps.  That
- * order is what makes LRU the one default policy with a recency
- * order: the DBRB reads stamp() and stackPosition() to find the
- * predicted-dead block closest to LRU (dead_block_policy.hh).
+ * Recency is kept as an explicit stack per set, one byte per
+ * position: order_[set * assoc + pos] is the way at stack position
+ * pos, 0 = MRU.  The victim is a single load of the last position; a
+ * hit or fill promotes the way to position 0 and an LRU insertion
+ * demotes it to the last, each a shift of one byte lane that the
+ * simd:: stack kernels do in one 16-byte register for sets of up to
+ * 16 ways.  That order is what makes LRU the one default policy
+ * with a recency order: the DBRB walks wayAt() from the LRU end to
+ * find the predicted-dead block closest to LRU
+ * (dead_block_policy.hh).
  */
 
 #ifndef SDBP_CACHE_LRU_HH
 #define SDBP_CACHE_LRU_HH
 
+#include <cassert>
 #include <cstdint>
-#include <vector>
 
 #include "cache/policy.hh"
 #include "util/arena.hh"
@@ -47,8 +47,8 @@ class LruPolicy final : public ReplacementPolicy
         (void)frames;
         (void)a;
         if (hit_way >= 0)
-            stamp_[set * assoc_ + static_cast<std::uint32_t>(hit_way)] =
-                ++high_[set];
+            simd::stackPromote(lane(set), assoc_,
+                               static_cast<std::uint32_t>(hit_way));
     }
 
     SDBP_HOT_PATH std::uint32_t
@@ -56,9 +56,7 @@ class LruPolicy final : public ReplacementPolicy
     {
         (void)frames;
         (void)a;
-        // SIMD min-reduce over the stamp lane; first-minimum
-        // semantics match the scalar strict-< walk exactly.
-        return simd::minStampIndex(&stamp_[set * assoc_], assoc_);
+        return wayAt(set, assoc_ - 1);
     }
 
     SDBP_HOT_PATH void
@@ -67,58 +65,59 @@ class LruPolicy final : public ReplacementPolicy
     {
         (void)frames;
         (void)a;
-        stamp_[set * assoc_ + way] = ++high_[set];
+        simd::stackPromote(lane(set), assoc_, way);
     }
 
     std::string name() const override { return "lru"; }
 
-    /**
-     * Recency stamp of a way: larger = more recently used, distinct
-     * within a set.
-     */
-    SDBP_HOT_PATH std::int64_t
-    stamp(std::uint32_t set, std::uint32_t way) const
+    /** The way at stack position @p pos (0 = MRU). */
+    SDBP_HOT_PATH std::uint32_t
+    wayAt(std::uint32_t set, std::uint32_t pos) const
     {
-        return stamp_[set * assoc_ + way];
+        return order_[set * assoc_ + pos];
     }
 
     /** Current stack position of a way (0 = MRU). */
     SDBP_HOT_PATH std::uint32_t
     stackPosition(std::uint32_t set, std::uint32_t way) const
     {
-        const auto *base = &stamp_[set * assoc_];
-        const std::int64_t mine = base[way];
-        std::uint32_t r = 0;
-        for (std::uint32_t w = 0; w < assoc_; ++w)
-            r += base[w] > mine;
-        return r;
+        return simd::stackFind(&order_[set * assoc_], assoc_, way);
     }
 
     /**
      * Move a way to the MRU (@p target_pos 0) or the LRU (@p
-     * target_pos assoc-1) end of the stack, in O(1); used by the
+     * target_pos assoc-1) end of the stack; used by the
      * insertion-policy variants (LIP/BIP) that install at LRU.
      */
-    void moveTo(std::uint32_t set, std::uint32_t way,
-                std::uint32_t target_pos);
+    SDBP_HOT_PATH void
+    moveTo(std::uint32_t set, std::uint32_t way, std::uint32_t target_pos)
+    {
+        assert(target_pos == 0 || target_pos == assoc_ - 1);
+        if (target_pos == 0)
+            simd::stackPromote(lane(set), assoc_, way);
+        else
+            simd::stackDemote(lane(set), assoc_, way);
+    }
 
     /**
-     * Pull the set's stamp lane into the host cache ahead of an
+     * Pull the set's order lane into the host cache ahead of an
      * upcoming access (read hint; no state change).
      */
     SDBP_HOT_PATH SDBP_ALWAYS_INLINE void
     prefetchSet(std::uint32_t set) const
     {
-        __builtin_prefetch(&stamp_[set * assoc_], 0, 3);
+        __builtin_prefetch(&order_[set * assoc_], 0, 3);
     }
 
   private:
-    /** stamp_[set * assoc + way]: larger = more recently used. */
-    ArenaVector<std::int64_t> stamp_;
-    /** Per-set MRU clock (counts up). */
-    ArenaVector<std::int64_t> high_;
-    /** Per-set LRU clock (counts down). */
-    ArenaVector<std::int64_t> low_;
+    std::uint8_t *lane(std::uint32_t set) { return &order_[set * assoc_]; }
+
+    /**
+     * order_[set * assoc + pos]: the way at stack position pos, 0 =
+     * MRU; simd::kStackLaneBytes of padding follow the last set so
+     * the vector kernels' 16-byte loads and stores stay inside.
+     */
+    ArenaVector<std::uint8_t> order_;
 };
 
 } // namespace sdbp

@@ -19,11 +19,11 @@
  * hooks — compiles as one devirtualized unit.  `System` is the
  * type-erased alias.
  *
- * Generators are consumed in ~1 KiB batches to amortize the virtual
- * nextBatch() dispatch (a generator's sole virtual primitive); after
- * run() returns, a generator's position is
- * whatever the read-ahead left it at (callers that reuse a generator
- * must reset() it).  Batching changes no simulated outcome: records
+ * Generators are consumed in batches of Batch::kSize (256) records,
+ * about 8 KiB, to amortize the virtual nextBatch() dispatch (a
+ * generator's sole virtual primitive); after run() returns, a
+ * generator's position is whatever the read-ahead left it at
+ * (callers that reuse a generator must reset() it).  Batching changes no simulated outcome: records
  * are consumed in exactly the order a record-at-a-time loop would,
  * and pending read-ahead is discarded when a finished program
  * restarts.

@@ -3,11 +3,16 @@
  * Tests of the observability layer (DESIGN.md §9): stat registry
  * registration and lookup, interval timeline semantics, confusion
  * matrix accounting against a real instrumented run, JSON/CSV
- * round-trips, trace-sink ring behaviour, and the phase-derived
- * timing block and profile.
+ * round-trips, trace-sink ring behaviour, event-stream completeness
+ * (every prediction, fill, eviction and bypass reaches the JSONL
+ * file, one file per grid cell), and the phase-derived timing block
+ * and profile.
  */
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
 
 #include "obs/artifacts.hh"
 #include "obs/confusion.hh"
@@ -16,6 +21,7 @@
 #include "obs/stat_registry.hh"
 #include "obs/trace_sink.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 
 using namespace sdbp;
 using namespace sdbp::obs;
@@ -23,9 +29,9 @@ using namespace sdbp::obs;
 namespace
 {
 
-/** Small instrumented run with an LLC small enough to evict. */
-RunResult
-instrumentedRun(InstCount warmup = 0)
+/** Small instrumented config with an LLC small enough to evict. */
+RunConfig
+instrumentedConfig(InstCount warmup = 0)
 {
     RunConfig cfg = RunConfig::singleCore();
     cfg.warmupInstructions = warmup;
@@ -33,7 +39,61 @@ instrumentedRun(InstCount warmup = 0)
     cfg.hierarchy.llc.numSets = 64; // force evictions quickly
     cfg.obs.collect = true;
     cfg.obs.intervalInstructions = 50000;
-    return runSingleCore("456.hmmer", PolicyKind::Sampler, cfg);
+    return cfg;
+}
+
+RunResult
+instrumentedRun(InstCount warmup = 0)
+{
+    return runSingleCore("456.hmmer", PolicyKind::Sampler,
+                         instrumentedConfig(warmup));
+}
+
+/**
+ * Events per kind in the JSONL stream at @p path.  Every line must
+ * parse and name one of the four kinds the engine emits.
+ */
+std::map<std::string, std::uint64_t>
+countEvents(const std::string &path)
+{
+    std::map<std::string, std::uint64_t> counts;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.is_open()) << path;
+    std::string line;
+    std::uint64_t n = 0;
+    while (std::getline(in, line)) {
+        ++n;
+        const auto parsed = JsonValue::parse(line);
+        if (!parsed.has_value() || parsed->find("event") == nullptr) {
+            ADD_FAILURE() << path << ":" << n << " does not parse: "
+                          << line;
+            continue;
+        }
+        const std::string kind = parsed->find("event")->asString();
+        EXPECT_TRUE(kind == "prediction" || kind == "fill" ||
+                    kind == "eviction" || kind == "bypass")
+            << path << ":" << n << " has kind " << kind;
+        ++counts[kind];
+    }
+    return counts;
+}
+
+/**
+ * The stream carries every event of a run without warm-up: one per
+ * DBRB consultation, LLC fill, eviction and bypass.
+ */
+void
+expectCompleteStream(const std::string &path, const RunResult &res)
+{
+    ASSERT_NE(res.artifacts, nullptr);
+    const StatSnapshot &snap = res.artifacts->finalSnapshot;
+    auto counts = countEvents(path);
+    EXPECT_EQ(counts["prediction"], snap.counter("dbrb.predictions"));
+    EXPECT_EQ(counts["fill"], snap.counter("llc.fills"));
+    EXPECT_EQ(counts["eviction"], snap.counter("llc.evictions"));
+    EXPECT_EQ(counts["bypass"], snap.counter("llc.bypasses"));
+    EXPECT_GT(counts["fill"], 0u) << path;
+    EXPECT_GT(counts["eviction"], 0u) << path;
 }
 
 } // anonymous namespace
@@ -233,6 +293,37 @@ TEST(TraceSink, RingDropsOldest)
     ASSERT_EQ(events.size(), 4u);
     EXPECT_EQ(events.front().tick, 6u); // oldest surviving
     EXPECT_EQ(events.back().tick, 9u);
+}
+
+TEST(Obs, EventStreamIsComplete)
+{
+    RunConfig cfg = instrumentedConfig(/*warmup=*/0);
+    cfg.obs.traceJsonlPath =
+        testing::TempDir() + "sdbp_obs_stream.jsonl";
+    const RunResult res =
+        runSingleCore("456.hmmer", PolicyKind::Sampler, cfg);
+    ASSERT_TRUE(res.hasDbrb);
+    EXPECT_GT(res.dbrb.bypasses, 0u);
+    expectCompleteStream(cfg.obs.traceJsonlPath, res);
+}
+
+TEST(Obs, GridWritesOneEventStreamPerCell)
+{
+    RunConfig cfg = instrumentedConfig(/*warmup=*/0);
+    cfg.obs.traceJsonlPath = testing::TempDir() + "sdbp_obs_grid.jsonl";
+    sweep::SweepOptions opts;
+    opts.jobs = 2;
+    const sweep::Grid grid = sweep::runGrid(
+        {"456.hmmer"}, {PolicyKind::Lru, PolicyKind::Sampler}, cfg,
+        opts);
+    ASSERT_TRUE(grid.ok());
+    for (std::size_t p = 0; p < grid.policies.size(); ++p) {
+        const RunResult &res = grid.at(0, p);
+        expectCompleteStream(
+            sweep::cellArtifactPath(cfg.obs.traceJsonlPath,
+                                    grid.benchmarks[0], res.policy),
+            res);
+    }
 }
 
 TEST(TraceSink, JsonlLineParses)

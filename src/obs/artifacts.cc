@@ -117,11 +117,6 @@ RunArtifacts::toJson() const
     if (const auto host = hostTotal(profile); host.valid)
         timing.set("host", hostJson(host));
     root.set("timing", std::move(timing));
-
-    JsonValue trace = JsonValue::object();
-    trace.set("recorded", JsonValue(traceEventsRecorded));
-    trace.set("dropped", JsonValue(traceEventsDropped));
-    root.set("trace", std::move(trace));
     return root;
 }
 

@@ -53,10 +53,6 @@ struct RunArtifacts
      *  "profile" entries, and the source of every timing figure. */
     std::vector<PhaseRecord> profile;
 
-    /** Trace-sink accounting (events stream to their own JSONL). */
-    std::uint64_t traceEventsRecorded = 0;
-    std::uint64_t traceEventsDropped = 0;
-
     /** Wall-clock seconds of the run at collect time (setup +
      *  warmup + measure; excludes artifact export). */
     double wallSeconds = 0;

@@ -1,7 +1,5 @@
 #include "obs/trace_sink.hh"
 
-#include <algorithm>
-
 namespace sdbp::obs
 {
 
@@ -11,63 +9,21 @@ traceEventKindName(TraceEventKind kind)
     switch (kind) {
       case TraceEventKind::Prediction: return "prediction";
       case TraceEventKind::Fill: return "fill";
-      case TraceEventKind::Hit: return "hit";
       case TraceEventKind::Eviction: return "eviction";
       case TraceEventKind::Bypass: return "bypass";
     }
     return "unknown";
 }
 
-TraceSink::TraceSink(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 1))
+TraceSink::TraceSink(const std::string &path)
+    : out_(path, std::ios::trunc)
 {
-}
-
-bool
-TraceSink::openJsonl(const std::string &path)
-{
-    jsonl_.open(path, std::ios::trunc);
-    return jsonl_.is_open();
-}
-
-void
-TraceSink::closeJsonl()
-{
-    if (jsonl_.is_open())
-        jsonl_.close();
 }
 
 void
 TraceSink::record(const TraceEvent &e)
 {
-    ring_[recorded_ % ring_.size()] = e;
-    ++recorded_;
-    if (jsonl_.is_open())
-        jsonl_ << toJsonl(e) << '\n';
-}
-
-std::size_t
-TraceSink::size() const
-{
-    return std::min<std::uint64_t>(recorded_, ring_.size());
-}
-
-std::uint64_t
-TraceSink::dropped() const
-{
-    return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
-}
-
-std::vector<TraceEvent>
-TraceSink::events() const
-{
-    std::vector<TraceEvent> out;
-    const std::size_t n = size();
-    out.reserve(n);
-    const std::uint64_t first = recorded_ - n;
-    for (std::uint64_t i = 0; i < n; ++i)
-        out.push_back(ring_[(first + i) % ring_.size()]);
-    return out;
+    out_ << toJsonl(e) << '\n';
 }
 
 std::string

@@ -1,10 +1,11 @@
 /**
  * @file
- * Event-trace sink: a bounded ring buffer of predictor/eviction
- * events with an optional JSONL stream.  Hot-path emission goes
- * through the SDBP_TRACE_EVENT macro, which compiles out entirely
- * when the SDBP_TRACE CMake option is off and otherwise costs one
- * predictable null-pointer test when no sink is attached.
+ * Event-trace sink: streams every predictor consultation, LLC fill,
+ * eviction and bypass to a JSONL file, one JSON object per line.  A
+ * run builds a sink only when it asks for an events file
+ * (ObsOptions::traceJsonlPath).  Hot-path emission goes through the
+ * SDBP_TRACE_EVENT macro, which costs one predictable null-pointer
+ * test when no sink is attached.
  */
 
 #ifndef SDBP_OBS_TRACE_SINK_HH
@@ -13,7 +14,6 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "util/types.hh"
 
@@ -24,7 +24,6 @@ enum class TraceEventKind : std::uint8_t
 {
     Prediction, ///< predictor consulted on a demand access
     Fill,       ///< block installed in the cache
-    Hit,        ///< demand hit
     Eviction,   ///< valid block evicted
     Bypass,     ///< fill declined (predicted dead on arrival)
 };
@@ -46,58 +45,28 @@ struct TraceEvent
 class TraceSink
 {
   public:
-    /** @param capacity ring size; older events are overwritten */
-    explicit TraceSink(std::size_t capacity = 4096);
+    /** Open (and truncate) @p path; isOpen() tells whether it did. */
+    explicit TraceSink(const std::string &path);
 
-    /**
-     * Additionally stream every event to @p path as one JSON object
-     * per line.  @return false if the file cannot be opened.
-     */
-    bool openJsonl(const std::string &path);
-    void closeJsonl();
+    bool isOpen() const { return out_.is_open(); }
 
+    /** Append @p e to the file as one line. */
     void record(const TraceEvent &e);
-
-    std::size_t capacity() const { return ring_.size(); }
-    /** Events currently held in the ring. */
-    std::size_t size() const;
-    /** Total events ever recorded. */
-    std::uint64_t recorded() const { return recorded_; }
-    /** Events that fell out of the ring. */
-    std::uint64_t dropped() const;
-
-    /** Ring contents, oldest first. */
-    std::vector<TraceEvent> events() const;
 
     /** One JSONL line (no trailing newline). */
     static std::string toJsonl(const TraceEvent &e);
 
   private:
-    std::vector<TraceEvent> ring_;
-    std::uint64_t recorded_ = 0;
-    std::ofstream jsonl_;
+    std::ofstream out_;
 };
 
 } // namespace sdbp::obs
 
-/*
- * Hot-path emission macro.  The build defines SDBP_TRACE_ENABLED via
- * the SDBP_TRACE CMake option (default on); standalone inclusion
- * keeps tracing available.
- */
-#ifndef SDBP_TRACE_ENABLED
-#define SDBP_TRACE_ENABLED 1
-#endif
-
-#if SDBP_TRACE_ENABLED
 /** Record a TraceEvent through @p sink (a TraceSink*; may be null). */
 #define SDBP_TRACE_EVENT(sink, ...)                                    \
     do {                                                               \
         if (sink)                                                      \
             (sink)->record(::sdbp::obs::TraceEvent{__VA_ARGS__});      \
     } while (0)
-#else
-#define SDBP_TRACE_EVENT(sink, ...) ((void)0)
-#endif
 
 #endif // SDBP_OBS_TRACE_SINK_HH

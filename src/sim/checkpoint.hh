@@ -202,7 +202,6 @@ struct JsonFields<ObsOptions>
         v("stats_json_path", o.statsJsonPath);
         v("timeline_csv_path", o.timelineCsvPath);
         v("trace_jsonl_path", o.traceJsonlPath);
-        v("trace_capacity", o.traceCapacity);
     }
 };
 

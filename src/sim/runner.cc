@@ -47,34 +47,37 @@ struct ObsHarness
 {
     obs::StatRegistry registry;
     obs::IntervalTimeline timeline{&registry};
-    obs::TraceSink trace;
-
-    explicit ObsHarness(const ObsOptions &opt) : trace(opt.traceCapacity)
-    {
-    }
+    /** Set only when the run streams its events to a file. */
+    std::unique_ptr<obs::TraceSink> trace;
 };
 
-/** Attach registry/heartbeat/trace to the engine. */
+/** Attach registry/heartbeat (and the event stream, when asked) to
+ *  the engine. */
 std::unique_ptr<ObsHarness>
 attachObs(Engine &eng, const ObsOptions &opt)
 {
     if (!opt.collect)
         return nullptr;
-    auto h = std::make_unique<ObsHarness>(opt);
+    auto h = std::make_unique<ObsHarness>();
     SystemBase &sys = *eng.system;
     sys.registerStats(h->registry);
-    if (eng.dbrb) {
+    if (eng.dbrb)
         eng.dbrb->registerStats(h->registry, "dbrb");
-        eng.dbrb->setTraceSink(&h->trace);
-    }
     sys.setHeartbeat(opt.intervalInstructions,
                      [harness = h.get()](std::uint64_t tick) {
                          harness->timeline.sample(tick);
                      });
-    if (!opt.traceJsonlPath.empty() &&
-        !h->trace.openJsonl(opt.traceJsonlPath))
-        warn("cannot open trace JSONL file " + opt.traceJsonlPath);
-    sys.hierarchy().setTraceSink(&h->trace);
+    if (!opt.traceJsonlPath.empty()) {
+        h->trace = std::make_unique<obs::TraceSink>(opt.traceJsonlPath);
+        if (!h->trace->isOpen()) {
+            warn("cannot open trace JSONL file " + opt.traceJsonlPath);
+            h->trace.reset();
+        } else {
+            if (eng.dbrb)
+                eng.dbrb->setTraceSink(h->trace.get());
+            sys.hierarchy().setTraceSink(h->trace.get());
+        }
+    }
     return h;
 }
 
@@ -130,8 +133,6 @@ collectObs(ObsHarness &h, const Engine &eng, const ObsOptions &opt,
         art->hasConfusion = true;
         art->confusion = eng.dbrb->confusion();
     }
-    art->traceEventsRecorded = h.trace.recorded();
-    art->traceEventsDropped = h.trace.dropped();
 
     if (!opt.statsJsonPath.empty() &&
         !art->writeJson(opt.statsJsonPath))

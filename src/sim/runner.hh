@@ -25,7 +25,9 @@ namespace sdbp
  * Observability wiring of one run.  Off by default (zero overhead);
  * when `collect` is set, a StatRegistry is attached to the system,
  * per-interval snapshots are taken, and a RunArtifacts is returned
- * with the result (and optionally exported to disk).
+ * with the result (and optionally exported to disk).  Event tracing
+ * is a further opt-in: only a collected run with `traceJsonlPath`
+ * set attaches a TraceSink, which streams every event to that file.
  */
 struct ObsOptions
 {
@@ -37,10 +39,8 @@ struct ObsOptions
     std::string statsJsonPath;
     /** When non-empty, write the derived timeline CSV here. */
     std::string timelineCsvPath;
-    /** When non-empty, stream trace events here as JSONL. */
+    /** When non-empty, stream every trace event here as JSONL. */
     std::string traceJsonlPath;
-    /** Event-trace ring capacity. */
-    std::size_t traceCapacity = 4096;
 };
 
 struct RunConfig

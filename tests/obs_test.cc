@@ -3,10 +3,9 @@
  * Tests of the observability layer (DESIGN.md §9): stat registry
  * registration and lookup, interval timeline semantics, confusion
  * matrix accounting against a real instrumented run, JSON/CSV
- * round-trips, trace-sink ring behaviour, event-stream completeness
- * (every prediction, fill, eviction and bypass reaches the JSONL
- * file, one file per grid cell), and the phase-derived timing block
- * and profile.
+ * round-trips, event-stream completeness (every prediction, fill,
+ * eviction and bypass reaches the JSONL file, one file per grid
+ * cell), and the phase-derived timing block and profile.
  */
 
 #include <gtest/gtest.h>
@@ -275,24 +274,6 @@ TEST(JsonValue, EscapingRoundTrip)
     EXPECT_EQ(parsed->find("n")->asUInt(),
               18446744073709551615ull);
     EXPECT_DOUBLE_EQ(parsed->find("x")->asNumber(), 1.5);
-}
-
-TEST(TraceSink, RingDropsOldest)
-{
-    TraceSink sink(4);
-    for (std::uint64_t i = 0; i < 10; ++i) {
-        TraceEvent e;
-        e.tick = i;
-        e.kind = TraceEventKind::Fill;
-        sink.record(e);
-    }
-    EXPECT_EQ(sink.recorded(), 10u);
-    EXPECT_EQ(sink.size(), 4u);
-    EXPECT_EQ(sink.dropped(), 6u);
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events.front().tick, 6u); // oldest surviving
-    EXPECT_EQ(events.back().tick, 9u);
 }
 
 TEST(Obs, EventStreamIsComplete)

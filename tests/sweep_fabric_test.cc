@@ -126,9 +126,13 @@ TEST(SweepFabric, ConfigJsonRoundTrip)
     cfg.obs.statsJsonPath = "stats.json";
 
     // Manifests written by older builds carry the retired
-    // forced-virtual-route flag; they must still parse.
+    // forced-virtual-route flag and event-ring capacity; they must
+    // still parse.
     obs::JsonValue legacy = obs::toJson(cfg);
     legacy.set("force_virtual_path", true);
+    obs::JsonValue legacy_obs = obs::toJson(cfg.obs);
+    legacy_obs.set("trace_capacity", std::uint64_t{4096});
+    legacy.set("obs", std::move(legacy_obs));
     for (const obs::JsonValue &json : {obs::toJson(cfg), legacy}) {
         const RunConfig back = obs::fromJson<RunConfig>(json);
         EXPECT_EQ(back.warmupInstructions, cfg.warmupInstructions);

@@ -253,11 +253,6 @@ printSummary(const obs::RunArtifacts &art)
                 .cell(formatDouble(p.instructionsPerSec(), 0));
         pt.print(std::cout);
     }
-
-    if (art.traceEventsRecorded || art.traceEventsDropped)
-        std::cout << "\nTrace: " << art.traceEventsRecorded
-                  << " events recorded, " << art.traceEventsDropped
-                  << " dropped (ring full)\n";
 }
 
 /** One trace event, as far as the spans summary cares. */

@@ -1,5 +1,7 @@
 #include "obs/trace_sink.hh"
 
+#include <sstream>
+
 namespace sdbp::obs
 {
 
@@ -15,6 +17,21 @@ traceEventKindName(TraceEventKind kind)
     return "unknown";
 }
 
+namespace
+{
+
+/** @p e as one JSON object, written field by field: no temporaries. */
+void
+writeJsonl(std::ostream &os, const TraceEvent &e)
+{
+    os << "{\"tick\":" << e.tick << ",\"event\":\""
+       << traceEventKindName(e.kind) << "\",\"set\":" << e.set
+       << ",\"block\":" << e.blockAddr << ",\"pc\":" << e.pc
+       << ",\"dead\":" << (e.predictedDead ? "true" : "false") << '}';
+}
+
+} // anonymous namespace
+
 TraceSink::TraceSink(const std::string &path)
     : out_(path, std::ios::trunc)
 {
@@ -23,26 +40,16 @@ TraceSink::TraceSink(const std::string &path)
 void
 TraceSink::record(const TraceEvent &e)
 {
-    out_ << toJsonl(e) << '\n';
+    writeJsonl(out_, e);
+    out_ << '\n';
 }
 
 std::string
 TraceSink::toJsonl(const TraceEvent &e)
 {
-    std::string out = "{\"tick\":";
-    out += std::to_string(e.tick);
-    out += ",\"event\":\"";
-    out += traceEventKindName(e.kind);
-    out += "\",\"set\":";
-    out += std::to_string(e.set);
-    out += ",\"block\":";
-    out += std::to_string(e.blockAddr);
-    out += ",\"pc\":";
-    out += std::to_string(e.pc);
-    out += ",\"dead\":";
-    out += e.predictedDead ? "true" : "false";
-    out += "}";
-    return out;
+    std::ostringstream os;
+    writeJsonl(os, e);
+    return os.str();
 }
 
 } // namespace sdbp::obs

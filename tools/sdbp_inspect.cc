@@ -113,7 +113,9 @@ usage(const char *prog)
            "trace\n"
         << "  --json <path>        write the run-artifact JSON\n"
         << "  --csv <path>         write the derived timeline CSV\n"
-        << "  --events <path>      stream trace events as JSONL\n"
+        << "  --events <path>      stream every trace event "
+           "(prediction,\n"
+        << "                       fill, eviction, bypass) as JSONL\n"
         << "  --spans <file>       summarize a sdbp.trace_spans/1 "
            "JSON (slowest\n"
         << "                       cells, retries, per-phase "

@@ -25,7 +25,6 @@
 #include "obs/span_tracer.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
-#include "sim/worker.hh"
 #include "util/file.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -273,14 +272,6 @@ class JsonReport
             je.set("attempts", obs::JsonValue(
                                    std::uint64_t{e.attempts}));
             je.set("timed_out", obs::JsonValue(e.timedOut));
-            // Crash detail only for crashed cells, so reports from
-            // in-process sweeps keep their exact historical bytes.
-            if (e.crashed) {
-                je.set("crashed", obs::JsonValue(true));
-                je.set("signal",
-                       obs::JsonValue(
-                           static_cast<std::uint64_t>(e.signal)));
-            }
             error_list.push(std::move(je));
         }
         sweep_block.set("errors", std::move(error_list));
@@ -371,14 +362,8 @@ finish(JsonReport &report)
     for (const auto &e : report.errors()) {
         std::cerr << "FAILED cell " << e.run << "/" << e.policy
                   << " after " << e.attempts << " attempt(s)"
-                  << (e.timedOut ? " [timeout]" : "");
-        if (e.crashed) {
-            std::cerr << " [crashed";
-            if (e.signal != 0)
-                std::cerr << ", signal " << e.signal;
-            std::cerr << "]";
-        }
-        std::cerr << ": " << e.message << "\n";
+                  << (e.timedOut ? " [timeout]" : "") << ": "
+                  << e.message << "\n";
     }
     if (report.skipped() > 0)
         std::cerr << "interrupted: " << report.skipped()

@@ -66,9 +66,8 @@ runPart(bench::JsonReport &report, const char *title,
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner(
         "Fig. 10: quad-core normalized weighted speedup (8MB LLC)",
         "Fig. 10(a)/(b), Sec. VII-D");

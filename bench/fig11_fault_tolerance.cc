@@ -30,9 +30,8 @@ rateLabel(std::uint64_t rate)
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner(
         "Fig. 11: Sampler MPKI/IPC vs predictor soft-error rate",
         "extension of Sec. VII; fault model in DESIGN.md \xC2\xA7"

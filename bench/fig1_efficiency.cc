@@ -13,9 +13,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Fig. 1: cache efficiency (live-time ratio)",
                   "Fig. 1 and the Sec. I dead-time claim");
 

@@ -10,9 +10,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Fig. 4: normalized LLC misses (LRU default)",
                   "Fig. 4, Sec. VII-A1");
 

@@ -9,9 +9,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Fig. 5: speedup over LRU (LRU default)",
                   "Fig. 5, Sec. VII-A2");
 

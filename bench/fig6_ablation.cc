@@ -42,9 +42,8 @@ gmeanSpeedup(bench::JsonReport &report, const Variant &v,
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Fig. 6: component contribution ablation",
                   "Fig. 6, Sec. VII-A4 (+ DESIGN.md §6 extras)");
 

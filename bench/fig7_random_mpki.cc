@@ -9,9 +9,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Fig. 7: normalized LLC misses (random default)",
                   "Fig. 7, Sec. VII-B1");
 

@@ -9,9 +9,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Fig. 8: speedup over LRU (random default)",
                   "Fig. 8, Sec. VII-B2");
 

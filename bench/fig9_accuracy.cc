@@ -10,9 +10,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Fig. 9: predictor coverage and false positives",
                   "Fig. 9, Sec. VII-C");
 

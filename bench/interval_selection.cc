@@ -80,7 +80,6 @@ relError(double estimate, double truth)
 int
 main(int argc, char **argv)
 {
-    sweep::maybeWorkerMain(argc, argv);
     bool report_only = false;
     for (int i = 1; i < argc; ++i)
         if (std::string(argv[i]) == "--report-only")

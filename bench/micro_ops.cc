@@ -25,7 +25,6 @@
 #include "predictor/reftrace.hh"
 #include "sim/engine.hh"
 #include "sim/runner.hh"
-#include "sim/worker.hh"
 #include "trace/spec_profiles.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -173,7 +172,6 @@ BENCHMARK_CAPTURE(simulatedInstructionSimd, scalar, false)
 int
 main(int argc, char **argv)
 {
-    sweep::maybeWorkerMain(argc, argv);
     // Console output as usual, plus the machine-readable artifact —
     // injected via the standard --benchmark_out flags so an explicit
     // user-provided --benchmark_out still wins.

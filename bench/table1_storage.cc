@@ -13,9 +13,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Table I: predictor storage overhead",
                   "Table I, Sec. IV-A/B/C");
 

@@ -13,9 +13,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Table II: predictor leakage and dynamic power",
                   "Table II and Sec. IV-D");
 

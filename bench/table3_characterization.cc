@@ -14,9 +14,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Table III: benchmark characterization",
                   "Table III, Sec. VI-A1");
 

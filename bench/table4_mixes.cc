@@ -11,9 +11,8 @@
 using namespace sdbp;
 
 int
-main(int argc, char **argv)
+main()
 {
-    sweep::maybeWorkerMain(argc, argv);
     bench::banner("Table IV: multi-core workload mixes",
                   "Table IV, Sec. VI-A2");
 

@@ -27,6 +27,12 @@ HierarchyBase::registerStats(obs::StatRegistry &reg) const
 }
 
 void
+HierarchyBase::recordLlcRef(const LlcRef &ref)
+{
+    llcTrace_->push_back(ref);
+}
+
+void
 HierarchyBase::clearStats()
 {
     for (CacheBase *c : l1View_)

@@ -136,6 +136,11 @@ class HierarchyBase
   protected:
     explicit HierarchyBase(const HierarchyConfig &cfg);
 
+    /** Append one LLC demand access to the recorded trace.  Out of
+     *  line, so the opt-in recording's vector growth stays in this one
+     *  cold symbol rather than in every sealed hierarchy's access. */
+    [[gnu::noinline]] void recordLlcRef(const LlcRef &ref);
+
     HierarchyConfig cfg_;
     Prefetcher prefetcher_;
     std::uint64_t memReads_ = 0;
@@ -230,10 +235,8 @@ class BasicHierarchy final : public HierarchyBase
             // LLC (shared)
             res.latency += cfg_.llc.latency;
             res.llcAccess = true;
-            if (llcTrace_) {
-                llcTrace_->push_back({acc.blockAddr(), acc.pc, core,
-                                      acc.isWrite});
-            }
+            if (llcTrace_)
+                recordLlcRef({acc.blockAddr(), acc.pc, core, acc.isWrite});
             llc_hit = llc_->access(acc, now);
             if (!llc_hit) {
                 // Memory

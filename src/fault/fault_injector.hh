@@ -128,7 +128,9 @@ class FaultInjector
                        const std::string &prefix);
 
   private:
-    void freeze();
+    /** Out of line for the same reason as injectOne: its one-time
+     *  snapshot allocations stay in this one cold symbol. */
+    [[gnu::noinline]] void freeze();
     /** Kept out of line so its std::function call stays in this one
      *  cold symbol rather than in every DBRB wrapper's onAccess. */
     [[gnu::noinline]] void injectOne();

@@ -115,19 +115,6 @@ SpanTracer::emit(const std::string &category, const std::string &name,
 }
 
 void
-SpanTracer::emitInterval(SpanRecord rec,
-                         std::chrono::steady_clock::time_point start,
-                         std::chrono::steady_clock::time_point end)
-{
-    if (!enabled())
-        return;
-    rec.startUs = microsBetween(epoch_, start);
-    rec.durUs = microsBetween(start, end);
-    rec.tid = threadId();
-    commit(std::move(rec));
-}
-
-void
 SpanTracer::commit(SpanRecord rec)
 {
     recorded_.fetch_add(1, std::memory_order_relaxed);
@@ -215,12 +202,6 @@ SpanTracer::toChromeTrace() const
             args.set("resumed", JsonValue(true));
         if (s.skipped)
             args.set("skipped", JsonValue(true));
-        if (s.workerPid > 0)
-            args.set("worker_pid",
-                     JsonValue(std::uint64_t{s.workerPid}));
-        if (s.leaseGeneration > 0)
-            args.set("lease_generation",
-                     JsonValue(s.leaseGeneration));
         e.set("args", std::move(args));
         events.push(std::move(e));
     }

@@ -54,11 +54,6 @@ struct SpanRecord
     bool timedOut = false;
     bool resumed = false;
     bool skipped = false;
-    /** Pid of the sweep worker subprocess that ran the span's work
-     *  (multi-process sweeps, DESIGN.md §16); 0 = in-process. */
-    std::uint32_t workerPid = 0;
-    /** Lease generation of the cell's final claim; 0 = no lease. */
-    std::uint64_t leaseGeneration = 0;
 };
 
 /**
@@ -137,18 +132,6 @@ class SpanTracer
               std::chrono::steady_clock::time_point start,
               std::chrono::steady_clock::time_point end,
               const std::string &cell = {});
-
-    /**
-     * Direct emission of a fully-annotated record over a measured
-     * interval: @p rec keeps every annotation the caller set
-     * (worker pid, lease generation, failure flags); start/dur/tid
-     * are filled in here.  The sweep coordinator mirrors worker
-     * lifetimes and worker-executed cells through this.  No-op when
-     * disabled.
-     */
-    void emitInterval(SpanRecord rec,
-                      std::chrono::steady_clock::time_point start,
-                      std::chrono::steady_clock::time_point end);
 
     /** Spans ever offered to the tracer (stored + dropped). */
     std::uint64_t recorded() const

@@ -1,9 +1,9 @@
 /**
  * @file
  * What a sweep checkpoint stores about a run: one JSON field list
- * (obs/json_fields.hh) per struct, for the RunConfig a worker process
- * rebuilds its cells from, the mix rows of a multi-core sweep, and the
- * scalar results a manifest restores on resume.
+ * (obs/json_fields.hh) per struct, for the RunConfig a resume must
+ * match (the manifest fingerprint) and the scalar results a manifest
+ * restores on resume.
  *
  * Only scalar payloads are listed.  RunResult's llcTrace,
  * frameEfficiency, artifacts and hostPerf stay in memory; the first two
@@ -221,18 +221,6 @@ struct JsonFields<RunConfig>
         v("policy", c.policy);
         v.when(c.trace != TraceSpec{}, "trace", c.trace);
         v("obs", c.obs);
-    }
-};
-
-template <>
-struct JsonFields<MixProfile>
-{
-    template <typename S, typename V>
-    static void
-    visit(S &m, V &v)
-    {
-        v("name", m.name);
-        v("benchmarks", m.benchmarks);
     }
 };
 

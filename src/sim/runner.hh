@@ -57,8 +57,8 @@ struct RunConfig
      * Where the reference stream comes from: the benchmark's
      * synthetic workload by default, or a trace file (native or
      * ChampSim), optionally simulated via interval selection
-     * (DESIGN.md §17).  Round-trips through sweep manifests so
-     * worker-mode sweeps transport trace-driven cells.
+     * (DESIGN.md §17).  Part of a sweep manifest's fingerprint, so
+     * a resume under another trace is refused.
      */
     TraceSpec trace;
     PolicyOptions policy;

@@ -16,7 +16,6 @@
 #endif
 
 #include "obs/span_tracer.hh"
-#include "sim/worker.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -65,37 +64,9 @@ slug(const std::string &name)
 }
 
 /**
- * Run one attempt of the cell @p err labels, recording a throw in
- * @p err.  Shared by the in-process scheduler and worker processes.
- */
-bool
-attemptCell(const std::function<void()> &attempt, CellError &err)
-{
-    try {
-        // Test hook: make exactly this cell throw, so the end-to-end
-        // failure path (retries, CellError, manifest, exit code) is
-        // exercisable from tests and CI.
-        if (const std::string f = env::str("SDBP_TEST_FAIL_CELL");
-            !f.empty() && err.run + "/" + err.policy == f)
-            throw std::runtime_error("SDBP_TEST_FAIL_CELL forced failure");
-        attempt();
-        return true;
-    } catch (const SimulationTimeout &e) {
-        err.timedOut = true;
-        err.message = e.what();
-    } catch (const std::exception &e) {
-        err.timedOut = false;
-        err.message = e.what();
-    } catch (...) {
-        err.timedOut = false;
-        err.message = "unknown exception";
-    }
-    return false;
-}
-
-/**
- * Run @p attempt up to 1 + retries times with exponential backoff.
- * Returns true on success; otherwise @p err holds the last failure.
+ * Run @p attempt up to 1 + retries times with exponential backoff,
+ * recording each throw in @p err.  Returns true on success;
+ * otherwise @p err holds the last failure.
  */
 bool
 runWithRetries(unsigned retries, const std::function<void()> &attempt,
@@ -104,8 +75,26 @@ runWithRetries(unsigned retries, const std::function<void()> &attempt,
     const unsigned max_attempts = retries + 1;
     for (unsigned a = 1; a <= max_attempts; ++a) {
         err.attempts = a;
-        if (attemptCell(attempt, err))
+        try {
+            // Test hook: make exactly this cell throw, so the
+            // end-to-end failure path (retries, CellError, manifest,
+            // exit code) is exercisable from tests and CI.
+            if (const std::string f = env::str("SDBP_TEST_FAIL_CELL");
+                !f.empty() && err.run + "/" + err.policy == f)
+                throw std::runtime_error(
+                    "SDBP_TEST_FAIL_CELL forced failure");
+            attempt();
             return true;
+        } catch (const SimulationTimeout &e) {
+            err.timedOut = true;
+            err.message = e.what();
+        } catch (const std::exception &e) {
+            err.timedOut = false;
+            err.message = e.what();
+        } catch (...) {
+            err.timedOut = false;
+            err.message = "unknown exception";
+        }
         if (a < max_attempts && !shutdownRequested()) {
             warn("cell " + err.run + "/" + err.policy +
                  " failed (attempt " + std::to_string(a) + "/" +
@@ -234,7 +223,6 @@ SweepOptions::fromEnvironment()
     opts.jobs = defaultJobs();
     opts.retries = defaultRetries();
     opts.resume = env::u64("SDBP_RESUME", 0, 0, 1) == 1;
-    opts.workers = defaultWorkers();
     return opts;
 }
 
@@ -344,13 +332,6 @@ struct RowTraits<std::string>
     {
         return !cfg.recordLlcTrace && !cfg.trackEfficiency;
     }
-
-    /** Workers rebuild benchmark rows from the row labels alone. */
-    static std::vector<MixProfile>
-    workerMixes(const std::vector<std::string> &)
-    {
-        return {};
-    }
 };
 
 /** Multi-core rows: one mix each. */
@@ -380,22 +361,12 @@ struct RowTraits<MixProfile>
      *  cfg.trackEfficiency), so every mix grid checkpoints fully.
      *  See SweepResilienceTest.MixGridResumeIgnoresArtifactFlags. */
     static bool checkpointable(const RunConfig &) { return true; }
-
-    /** Workers need each mix's benchmark list from the manifest. */
-    static std::vector<MixProfile>
-    workerMixes(const std::vector<MixProfile> &mixes)
-    {
-        return mixes;
-    }
 };
 
 /**
  * The one grid executor.  Every cell goes through the same lifecycle
  * — resume from the manifest, skip on shutdown, run with retries,
- * checkpoint, span — under one of two schedulers: worker
- * subprocesses (opts.workers, DESIGN.md §16) or the in-process pool.
- * Any unmet worker requirement warns and falls back to the pool, so
- * a sweep never silently loses its workers option.
+ * checkpoint, span — on the in-process pool.
  */
 template <typename Row, typename Result>
 void
@@ -426,7 +397,7 @@ runCells(CellGrid<Result> &grid, const std::vector<Row> &rows,
     if (!opts.manifestPath.empty()) {
         manifest = std::make_unique<SweepManifest>(
             opts.manifestPath, Traits::kKind, run_names, policy_names,
-            cfg.warmupInstructions, cfg.measureInstructions);
+            cfg);
         resume = opts.resume && checkpointable;
         if (opts.resume && !checkpointable)
             warn("sweep records in-memory artifacts; ignoring resume "
@@ -455,92 +426,54 @@ runCells(CellGrid<Result> &grid, const std::vector<Row> &rows,
         progress.update(false);
     }
 
-    bool on_workers = false;
-    if (opts.workers > 0 && n > 0) {
-        const char *why = nullptr;
-        if (!manifest)
-            why = "SDBP_WORKERS needs a sweep manifest";
-        else if (!checkpointable)
-            why = "sweep records in-memory artifacts that cannot "
-                  "cross process boundaries";
-        else if (!workerCapable())
-            why = "this binary's main() never called "
-                  "sweep::maybeWorkerMain";
-        if (why) {
-            warn(std::string(why) + "; running the sweep in-process");
-        } else {
-            manifest->shareWithWorkers(cfg, Traits::workerMixes(rows));
-            // Clear leases/failures a dead coordinator left behind.
-            manifest->resetLeases();
-            const FabricResult fabric = superviseWorkers(
-                *manifest, opts.workers, opts.retries,
-                [&progress](bool failed) { progress.update(failed); });
-            on_workers = !fabric.fallback;
-            if (on_workers) {
-                grid.jobs = opts.workers;
-                grid.skipped = fabric.skipped;
-                grid.errors = fabric.errors;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (done[i] || !manifest->isCompleted(i))
-                        continue;
-                    obs::fromJson(manifest->completedMetrics(i),
-                                  grid.cells[i]);
-                    done[i] = 1;
-                }
-            }
-        }
-    }
-
-    if (!on_workers) {
-        std::mutex book_mutex;
-        parallelFor(n, grid.jobs, [&](std::size_t i) {
-            if (done[i])
-                return;
-            auto span = tracer.span("cell", cellName(i));
-            if (shutdownRequested()) {
-                if (manifest)
-                    manifest->markSkipped(i);
-                span.setSkipped();
-                progress.update(false);
-                std::lock_guard<std::mutex> lock(book_mutex);
-                ++grid.skipped;
-                return;
-            }
-
-            CellError err;
-            err.index = i;
-            err.run = run_names[i / cols];
-            err.policy = policy_names[i % cols];
-            const bool ok = runWithRetries(
-                opts.retries,
-                [&] {
-                    grid.cells[i] = Traits::run(
-                        rows[i / cols], grid.policies[i % cols],
-                        cellConfig(cfg, n > 1, err.run, err.policy));
-                },
-                err);
-            span.setAttempts(err.attempts);
-            if (ok) {
-                done[i] = 1;
-                if (manifest)
-                    manifest->markCompleted(i, obs::toJson(grid.cells[i]));
-                progress.update(false);
-                return;
-            }
-            span.setFailed(err.timedOut);
-            progress.update(true);
+    std::mutex book_mutex;
+    parallelFor(n, grid.jobs, [&](std::size_t i) {
+        if (done[i])
+            return;
+        auto span = tracer.span("cell", cellName(i));
+        if (shutdownRequested()) {
             if (manifest)
-                manifest->markFailed(err);
+                manifest->markSkipped(i);
+            span.setSkipped();
+            progress.update(false);
             std::lock_guard<std::mutex> lock(book_mutex);
-            grid.errors.push_back(std::move(err));
-        });
-        // Pool tasks push errors in completion order; report them in
-        // cell order, as the serial loop would.
-        std::sort(grid.errors.begin(), grid.errors.end(),
-                  [](const CellError &a, const CellError &b) {
-                      return a.index < b.index;
-                  });
-    }
+            ++grid.skipped;
+            return;
+        }
+
+        CellError err;
+        err.index = i;
+        err.run = run_names[i / cols];
+        err.policy = policy_names[i % cols];
+        const bool ok = runWithRetries(
+            opts.retries,
+            [&] {
+                grid.cells[i] = Traits::run(
+                    rows[i / cols], grid.policies[i % cols],
+                    cellConfig(cfg, n > 1, err.run, err.policy));
+            },
+            err);
+        span.setAttempts(err.attempts);
+        if (ok) {
+            done[i] = 1;
+            if (manifest)
+                manifest->markCompleted(i, obs::toJson(grid.cells[i]));
+            progress.update(false);
+            return;
+        }
+        span.setFailed(err.timedOut);
+        progress.update(true);
+        if (manifest)
+            manifest->markFailed(err);
+        std::lock_guard<std::mutex> lock(book_mutex);
+        grid.errors.push_back(std::move(err));
+    });
+    // Pool tasks push errors in completion order; report them in
+    // cell order, as the serial loop would.
+    std::sort(grid.errors.begin(), grid.errors.end(),
+              [](const CellError &a, const CellError &b) {
+                  return a.index < b.index;
+              });
     grid.wallSeconds = secondsSince(start);
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -576,32 +509,6 @@ runMixGrid(std::vector<MixProfile> mixes,
     grid.policies = std::move(policies);
     runCells(grid, grid.mixes, cfg, opts);
     return grid;
-}
-
-std::optional<obs::JsonValue>
-runManifestCell(const SweepManifest &manifest, std::size_t index,
-                CellError &err)
-{
-    const SweepFingerprint &fp = manifest.fingerprint();
-    const std::size_t row = index / fp.policies.size();
-    err.run = fp.runs[row];
-    err.policy = fp.policies[index % fp.policies.size()];
-    const PolicyKind kind = parsePolicyKind(err.policy).value();
-    const RunConfig cfg = cellConfig(
-        manifest.config().value(), manifest.cellCount() > 1, err.run,
-        err.policy);
-    std::optional<obs::JsonValue> metrics;
-    attemptCell(
-        [&] {
-            if (manifest.kind() == RowTraits<MixProfile>::kKind)
-                metrics = obs::toJson(RowTraits<MixProfile>::run(
-                    manifest.mixes().at(row), kind, cfg));
-            else
-                metrics = obs::toJson(
-                    RowTraits<std::string>::run(err.run, kind, cfg));
-        },
-        err);
-    return metrics;
 }
 
 } // namespace sdbp::sweep

@@ -1,12 +1,16 @@
 /**
  * @file
  * Parallel experiment engine: deterministic fan-out of independent
- * (benchmark, policy) simulations across a fixed thread pool.
+ * (benchmark, policy) simulations across a fixed thread pool, in
+ * this process.
  *
  * Every cell of a grid owns its own System and seeded workload
  * stream, so results are bit-identical to the serial loop for any
  * job count; results are collected by (row, column) index, never by
- * completion order (DESIGN.md §10).
+ * completion order (DESIGN.md §10).  A sweep with a manifest
+ * checkpoints every cell outcome, and a resumed sweep re-runs only
+ * the cells the manifest does not record as completed (DESIGN.md
+ * §11).
  */
 
 #ifndef SDBP_SIM_SWEEP_HH
@@ -15,7 +19,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,20 +67,9 @@ struct SweepOptions
     /** Restore completed cells from the manifest instead of
      *  re-running them (requires manifestPath). */
     bool resume = false;
-    /**
-     * Crash-isolated multi-process mode (DESIGN.md §16): 0 (the
-     * default) keeps the in-process thread-pool behavior; N > 0
-     * makes the sweep a coordinator that re-execs this binary as N
-     * worker subprocesses claiming cells through manifest leases.
-     * Requires manifestPath and a main() that calls
-     * maybeWorkerMain(); otherwise the sweep warns and runs
-     * in-process.
-     */
-    unsigned workers = 0;
 
-    /** jobs/retries/resume/workers from SDBP_JOBS / SDBP_RETRIES /
-     *  SDBP_RESUME / SDBP_WORKERS; manifestPath stays empty
-     *  (caller's choice). */
+    /** jobs/retries/resume from SDBP_JOBS / SDBP_RETRIES /
+     *  SDBP_RESUME; manifestPath stays empty (caller's choice). */
     static SweepOptions fromEnvironment();
 };
 
@@ -179,22 +171,12 @@ Grid runGrid(std::vector<std::string> benchmarks,
              const SweepOptions &opts);
 
 /** Simulate every (mix, policy) cell with runMulticore, with the
- *  same failure isolation, checkpointing and worker mode as runGrid
- *  (mix grids always checkpoint: runMulticore records no in-memory
+ *  same failure isolation and checkpointing as runGrid (mix grids
+ *  always checkpoint: runMulticore records no in-memory
  *  artifacts). */
 MixGrid runMixGrid(std::vector<MixProfile> mixes,
                    std::vector<PolicyKind> policies,
                    const RunConfig &cfg, const SweepOptions &opts);
-
-/**
- * One attempt at cell @p index of the sweep @p manifest describes:
- * the worker-process side of the cell lifecycle that runGrid and
- * runMixGrid run in-process.  Returns the cell's checkpoint metrics,
- * or nullopt with the failure recorded in @p err.
- */
-std::optional<obs::JsonValue> runManifestCell(const SweepManifest &manifest,
-                                              std::size_t index,
-                                              CellError &err);
 
 } // namespace sdbp::sweep
 

@@ -6,14 +6,11 @@
  * with SDBP_RESUME=1 and only the failed or missing cells re-execute;
  * completed cells restore their metrics from the manifest.
  *
- * Schema v2 (DESIGN.md §16) makes the manifest the coordination
- * substrate of multi-process sweeps: cells carry lease records ({pid,
- * generation, claimed_ms, heartbeat_ms} on the system-wide monotonic
- * clock) that worker subprocesses claim via atomic tmp+rename under a
- * flock(2)'d sidecar, plus structured crash fields
- * (crashed/signal/lease_generation) per failed cell and the sweep's
- * RunConfig so a worker is self-contained.  Checkpoints are ephemeral:
- * only the current schema is read.
+ * Schema 3: a fingerprint of the grid (row and column labels plus the
+ * whole RunConfig as JSON) and one record per cell.  A resume must
+ * match the fingerprint exactly; a file of any other schema is
+ * refused with an error that says to delete it.  Checkpoints are
+ * ephemeral, so older schemas are never migrated.
  *
  * The manifest stores metrics only (the scalar RunResult payload).
  * In-memory artifacts — the LLC reference trace, per-frame
@@ -51,29 +48,11 @@ struct CellError
     std::string message;
     /** Attempts made (1 + retries actually used). */
     unsigned attempts = 0;
-    /** The last failure was a SimulationTimeout (or a hard-timeout
-     *  kill in multi-process mode). */
+    /** The last failure was a SimulationTimeout. */
     bool timedOut = false;
-    /** The worker process running the cell died (signal or nonzero
-     *  exit) instead of reporting a failure in-band. */
-    bool crashed = false;
-    /** Terminating signal of the crashed worker (0 = exit-code
-     *  death or not a crash). */
-    int signal = 0;
-    /** Lease generation of the last claim (multi-process sweeps;
-     *  0 = cell never ran under a lease). */
-    std::uint64_t leaseGeneration = 0;
 };
 
-enum class CellStatus { Pending, Leased, Completed, Failed, Skipped };
-
-/** A worker's live claim on a cell (monotonic-clock ms). */
-struct CellLease
-{
-    std::int64_t pid = 0;
-    std::uint64_t claimedMs = 0;
-    std::uint64_t heartbeatMs = 0;
-};
+enum class CellStatus { Pending, Completed, Failed, Skipped };
 
 /** One cell as the manifest records it. */
 struct CellRecord
@@ -88,30 +67,17 @@ struct CellRecord
     std::string error;
     unsigned attempts = 0;
     bool timedOut = false;
-    bool crashed = false;
-    int signal = 0;
-    /** Claims this cell has ever received (lease generation). */
-    std::uint64_t generation = 0;
-    /** Live lease (status == Leased only). */
-    CellLease lease;
-    /** Worker-side cell execution window (monotonic ms). */
-    std::uint64_t startedMs = 0;
-    std::uint64_t finishedMs = 0;
-    /** Pid that last ran the cell (telemetry; 0 = in-process). */
-    std::int64_t workerPid = 0;
 };
 
-/** What a resume must match: the grid's labels and budget. */
+/** What a resume must match: the grid's labels and its RunConfig. */
 struct SweepFingerprint
 {
     /** Row labels: benchmarks or mix names. */
     std::vector<std::string> runs;
     /** Column labels: policy names. */
     std::vector<std::string> policies;
-    InstCount warmup = 0;
-    InstCount measure = 0;
-
-    bool operator==(const SweepFingerprint &) const = default;
+    /** The grid's RunConfig, as its JsonFields list writes it. */
+    obs::JsonValue config;
 };
 
 /** The whole manifest document. */
@@ -121,63 +87,38 @@ struct ManifestFile
     /** "grid" (single-core rows) or "mix_grid" (multi-core mixes). */
     std::string kind;
     SweepFingerprint fingerprint;
-    /** Worker payload of a multi-process sweep: the RunConfig, and
-     *  each mix's benchmark list for mix grids. */
-    std::optional<RunConfig> config;
-    std::vector<MixProfile> mixes;
     /** runs x policies cells, row-major. */
     std::vector<CellRecord> cells;
 };
 
 /**
- * One sweep's checkpoint file.  All mutators are thread-safe (sweep
- * workers complete cells concurrently) and every mutation rewrites
+ * One sweep's checkpoint file.  All mutators are thread-safe (pool
+ * threads complete cells concurrently) and every mutation rewrites
  * the manifest via an atomic tmp+rename, so the on-disk file is a
  * well-formed JSON document at every instant — even across SIGKILL.
- *
- * Once shared with worker processes (shareWithWorkers, or the
- * worker-side constructor) the manifest is also safe against
- * concurrent *processes*: every mutator then re-reads the file under
- * an exclusive flock on "<path>.lock" before applying its change, so
- * coordinator and workers see one serialized history.
  */
 class SweepManifest
 {
   public:
-    static constexpr std::uint64_t kSchemaVersion = 2;
-
-    /** One successful lease acquisition. */
-    struct Claim
-    {
-        std::size_t index = 0;
-        /** 1-based count of claims this cell has ever received. */
-        std::uint64_t generation = 0;
-    };
+    static constexpr std::uint64_t kSchemaVersion = 3;
 
     /**
      * Describe a grid about to run: @p kind is "grid" or "mix_grid",
      * @p runs the row labels (benchmarks or mix names), @p policies
-     * the column labels.  Together with the instruction budget these
-     * form the fingerprint that a resume must match.
+     * the column labels, @p cfg the configuration every cell runs
+     * under.  Together they form the fingerprint a resume must match.
      */
     SweepManifest(std::string path, std::string kind,
                   std::vector<std::string> runs,
                   std::vector<std::string> policies,
-                  InstCount warmup, InstCount measure);
-
-    /**
-     * Worker side: attach to the file a coordinator shared, taking
-     * the sweep's description from it, with cross-process access on.
-     * An unreadable or malformed file is fatal().
-     */
-    explicit SweepManifest(std::string path);
+                  const RunConfig &cfg);
 
     /**
      * Restore completed cells from the file at path(), if present.
      * A missing file is a fresh start (returns 0).  A malformed file,
      * one of another schema version, or one whose fingerprint (kind,
-     * runs, policies, instruction budget) differs is fatal():
-     * resuming a *different* sweep would silently mix experiments.
+     * runs, policies, RunConfig) differs is fatal(): resuming a
+     * *different* sweep would silently mix experiments.
      *
      * @return number of cells restored to Completed
      */
@@ -194,107 +135,15 @@ class SweepManifest
     /** Write the current state (atomic tmp+rename). */
     void flush();
 
-    const std::string &path() const { return path_; }
-
-    // The sweep description below is fixed once the manifest is
-    // shared, so these read it without the lock.
-    std::size_t cellCount() const { return file_.cells.size(); }
-    const std::string &kind() const { return file_.kind; }
-    const SweepFingerprint &fingerprint() const
-    {
-        return file_.fingerprint;
-    }
-    const std::optional<RunConfig> &config() const
-    {
-        return file_.config;
-    }
-    const std::vector<MixProfile> &mixes() const { return file_.mixes; }
-
-    // ---- multi-process fabric (schema v2) -------------------------
-
-    /**
-     * Coordinator side: persist what a worker subprocess needs to run
-     * cells on its own (@p cfg and, for mix grids, @p mixes), then
-     * serialize every later mutator against other processes through
-     * an exclusive flock on "<path>.lock": lock, re-read the file,
-     * apply, atomic-rewrite, unlock.  The in-process mutex still
-     * guards against sibling threads.
-     */
-    void shareWithWorkers(const RunConfig &cfg,
-                          std::vector<MixProfile> mixes);
-
-    /**
-     * Claim the first claimable cell: Pending, or Leased with a
-     * heartbeat older than @p ttl_ms (a stale lease — its worker is
-     * dead or wedged, so the cell is re-farmed).  nullopt when no
-     * cell is claimable.  @p now_ms is util::monotonicMs().
-     */
-    std::optional<Claim> tryClaim(std::int64_t pid,
-                                  std::uint64_t now_ms,
-                                  std::uint64_t ttl_ms);
-
-    /** Refresh the heartbeat of a lease still held by (pid, gen);
-     *  no-op if the cell was reclaimed from under the caller. */
-    void heartbeat(std::size_t index, std::int64_t pid,
-                   std::uint64_t generation, std::uint64_t now_ms);
-
-    /** Complete a leased cell: store metrics + timing, clear the
-     *  lease.  No-op if (pid, gen) no longer owns the cell. */
-    void completeClaimed(std::size_t index, std::int64_t pid,
-                         std::uint64_t generation,
-                         obs::JsonValue metrics,
-                         std::uint64_t started_ms,
-                         std::uint64_t finished_ms);
-
-    /**
-     * Fail a leased cell in-band (the worker caught the exception):
-     * requeue as Pending while generation < max_attempts, else mark
-     * Failed with @p err.  No-op if (pid, gen) no longer owns it.
-     */
-    void failClaimed(std::size_t index, const CellError &err,
-                     std::int64_t pid, std::uint64_t generation,
-                     unsigned max_attempts, std::uint64_t started_ms,
-                     std::uint64_t finished_ms);
-
-    /**
-     * Coordinator-side crash charge: the worker owning this cell
-     * died (signal @p sig, or nonzero exit when sig == 0) without
-     * reporting.  Same requeue-or-fail policy as failClaimed.  No-op
-     * unless @p pid still owns the lease.
-     */
-    void chargeCrash(std::size_t index, std::int64_t pid,
-                     const std::string &message, int sig,
-                     bool timed_out, unsigned max_attempts,
-                     std::uint64_t now_ms);
-
-    /**
-     * Coordinator startup: clear leftover leases (their owners died
-     * with a previous coordinator) and reset the attempt count of
-     * every non-completed cell, so a resumed sweep gets a fresh
-     * retry budget — matching the in-process resume semantics.
-     */
-    void resetLeases();
-
-    /** Mark every Pending cell Skipped (coordinator shutdown). */
-    void markSkippedPending();
-
-    /** Per-cell copy of the current state (reloads from disk first
-     *  in shared mode). */
-    std::vector<CellRecord> snapshotCells();
-
   private:
-    /** Run @p fn on the cells under the locks a mutation needs, then
-     *  persist the result. */
+    /** Run @p fn on the cells under the mutex, then persist them. */
     template <typename Fn>
     void mutate(Fn &&fn);
     void flushLocked() const;
-    /** Shared mode: absorb the on-disk state before mutating. */
-    void reloadLocked();
 
     mutable std::mutex mutex_;
     std::string path_;
     ManifestFile file_;
-    bool shared_ = false;
 };
 
 } // namespace sdbp::sweep
@@ -307,19 +156,6 @@ struct JsonEnum<sweep::CellStatus>
 {
     static const char *name(sweep::CellStatus s);
     static std::optional<sweep::CellStatus> parse(const std::string &s);
-};
-
-template <>
-struct JsonFields<sweep::CellLease>
-{
-    template <typename S, typename V>
-    static void
-    visit(S &l, V &v)
-    {
-        v("pid", l.pid);
-        v("claimed_ms", l.claimedMs);
-        v("heartbeat_ms", l.heartbeatMs);
-    }
 };
 
 template <>
@@ -338,13 +174,6 @@ struct JsonFields<sweep::CellRecord>
         v.when(failed, "error", c.error);
         v.when(failed, "attempts", c.attempts);
         v.when(failed, "timed_out", c.timedOut);
-        v.when(failed && c.crashed, "crashed", c.crashed);
-        v.when(failed && c.crashed, "signal", c.signal);
-        v.when(c.generation > 0, "lease_generation", c.generation);
-        v.when(c.status == CellStatus::Leased, "lease", c.lease);
-        v.when(c.startedMs > 0, "started_ms", c.startedMs);
-        v.when(c.finishedMs > 0, "finished_ms", c.finishedMs);
-        v.when(c.workerPid != 0, "worker_pid", c.workerPid);
     }
 };
 
@@ -357,8 +186,7 @@ struct JsonFields<sweep::SweepFingerprint>
     {
         v("runs", f.runs);
         v("policies", f.policies);
-        v("warmup_instructions", f.warmup);
-        v("measure_instructions", f.measure);
+        v("config", f.config);
     }
 };
 
@@ -372,8 +200,6 @@ struct JsonFields<sweep::ManifestFile>
         v("schema", m.schema);
         v("kind", m.kind);
         v("fingerprint", m.fingerprint);
-        v("config", m.config);
-        v.when(!m.mixes.empty(), "mixes", m.mixes);
         v("cells", m.cells);
     }
 };

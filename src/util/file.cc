@@ -1,18 +1,10 @@
 #include "util/file.hh"
 
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include <unistd.h>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/file.h>
-#include <time.h>
-#endif
 
 namespace sdbp::util
 {
@@ -52,54 +44,6 @@ readFile(const std::string &path, bool *ok)
     if (ok)
         *ok = in.good() || in.eof();
     return buf.str();
-}
-
-FileLock::FileLock(const std::string &path)
-{
-#if defined(__unix__) || defined(__APPLE__)
-    fd_ = ::open(path.c_str(), O_CREAT | O_RDWR, 0644);
-    if (fd_ >= 0) {
-        int rc;
-        do {
-            rc = ::flock(fd_, LOCK_EX);
-        } while (rc != 0 && errno == EINTR);
-        if (rc != 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-#else
-    (void)path;
-#endif
-}
-
-FileLock::~FileLock()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    if (fd_ >= 0) {
-        ::flock(fd_, LOCK_UN);
-        ::close(fd_);
-    }
-#endif
-}
-
-std::uint64_t
-monotonicMs()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    // Host-side lease bookkeeping only, never simulated state.
-    struct timespec ts;
-    if (::clock_gettime(CLOCK_MONOTONIC, &ts) == 0)
-        return static_cast<std::uint64_t>(ts.tv_sec) * 1000u +
-            static_cast<std::uint64_t>(ts.tv_nsec) / 1'000'000u;
-    return 0;
-#else
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() // sdbp-lint: allow(det-wallclock)
-                .time_since_epoch())
-            .count());
-#endif
 }
 
 } // namespace sdbp::util

@@ -13,7 +13,6 @@
 #ifndef SDBP_UTIL_FILE_HH
 #define SDBP_UTIL_FILE_HH
 
-#include <cstdint>
 #include <string>
 
 namespace sdbp::util
@@ -30,39 +29,6 @@ bool atomicWriteFile(const std::string &path,
 /** Read a whole file; nullopt-style empty return is not distinguishable
  *  from an empty file, so @p ok reports success when non-null. */
 std::string readFile(const std::string &path, bool *ok = nullptr);
-
-/**
- * Advisory cross-process mutex over a lock file (flock(2) on unix,
- * no-op elsewhere).  The multi-process sweep fabric serializes its
- * manifest read-modify-write cycles through one of these — the
- * manifest file itself cannot carry the lock, because every
- * atomicWriteFile replaces its inode.  The lock file is created on
- * first use and never deleted; holding the lock across a crash is
- * safe (the kernel releases flock locks when the holder dies).
- */
-class FileLock
-{
-  public:
-    /** Block until the exclusive lock on @p path is held. */
-    explicit FileLock(const std::string &path);
-    ~FileLock();
-
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-    /** False when the lock file could not be opened (lock not held). */
-    bool locked() const { return fd_ >= 0; }
-
-  private:
-    int fd_ = -1;
-};
-
-/**
- * Milliseconds on the system-wide monotonic clock (CLOCK_MONOTONIC:
- * boot-relative, so values are comparable *across processes* on one
- * host — the property the sweep fabric's lease heartbeats rely on).
- */
-std::uint64_t monotonicMs();
 
 } // namespace sdbp::util
 

@@ -18,7 +18,6 @@
 #include "obs/json.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
-#include "sim/worker.hh"
 #include "trace/spec_profiles.hh"
 #include "util/file.hh"
 
@@ -304,19 +303,17 @@ TEST(SweepManifestTest, EveryListedFieldRoundTrips)
     // status whose fields are conditional.
     expectFieldListRoundTrips<sweep::ManifestFile>(
         {}, [](sweep::ManifestFile &m) {
-            m.cells.push_back(m.cells[1]);
             m.cells[0].status = sweep::CellStatus::Completed;
             m.cells[1].status = sweep::CellStatus::Failed;
-            m.cells[2].status = sweep::CellStatus::Leased;
         });
 }
 
 TEST(SweepManifestTest, MarkReloadRoundTrip)
 {
     const std::string path = manifestPath("mark_reload");
+    const RunConfig cfg = tinyConfig();
     {
-        sweep::SweepManifest m(path, "grid", {"a", "b"}, {"LRU"},
-                               1000, 2000);
+        sweep::SweepManifest m(path, "grid", {"a", "b"}, {"LRU"}, cfg);
         obs::JsonValue metrics = obs::JsonValue::object();
         metrics.set("mpki", 3.5);
         m.markCompleted(0, std::move(metrics));
@@ -329,7 +326,7 @@ TEST(SweepManifestTest, MarkReloadRoundTrip)
         m.markFailed(err);
     }
     sweep::SweepManifest reloaded(path, "grid", {"a", "b"}, {"LRU"},
-                                  1000, 2000);
+                                  cfg);
     EXPECT_EQ(reloaded.loadCompleted(), 1u);
     EXPECT_TRUE(reloaded.isCompleted(0));
     EXPECT_FALSE(reloaded.isCompleted(1));
@@ -348,24 +345,26 @@ TEST(SweepManifestDeathTest, FingerprintMismatchIsFatal)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const std::string path = manifestPath("fingerprint");
+    const RunConfig cfg = tinyConfig();
     {
-        sweep::SweepManifest m(path, "grid", {"a", "b"}, {"LRU"},
-                               1000, 2000);
+        sweep::SweepManifest m(path, "grid", {"a", "b"}, {"LRU"}, cfg);
         m.flush();
     }
     // Different benchmark list.
     EXPECT_EXIT(
         {
             sweep::SweepManifest m(path, "grid", {"a", "c"}, {"LRU"},
-                                   1000, 2000);
+                                   cfg);
             m.loadCompleted();
         },
         testing::ExitedWithCode(1), "different sweep");
     // Different instruction budget.
     EXPECT_EXIT(
         {
+            RunConfig longer = cfg;
+            longer.measureInstructions += 1;
             sweep::SweepManifest m(path, "grid", {"a", "b"}, {"LRU"},
-                                   1000, 9999);
+                                   longer);
             m.loadCompleted();
         },
         testing::ExitedWithCode(1), "different sweep");
@@ -374,10 +373,87 @@ TEST(SweepManifestDeathTest, FingerprintMismatchIsFatal)
     EXPECT_EXIT(
         {
             sweep::SweepManifest m(path, "grid", {"a", "b"}, {"LRU"},
-                                   1000, 2000);
+                                   cfg);
             m.loadCompleted();
         },
         testing::ExitedWithCode(1), "not valid JSON");
+    std::remove(path.c_str());
+
+    // Any other RunConfig field: a sweep checkpointed at one fault
+    // rate must not resume at another, or its completed cells would
+    // report the first rate's predictor behaviour.
+    sweep::SweepOptions opts;
+    opts.jobs = 1;
+    opts.manifestPath = path;
+    const std::vector<std::string> benchmarks = {twoBenchmarks()[0]};
+    const std::vector<PolicyKind> policies = {PolicyKind::Sampler};
+    ASSERT_TRUE(sweep::runGrid(benchmarks, policies, cfg, opts).ok());
+    opts.resume = true;
+    EXPECT_EXIT(
+        {
+            RunConfig faulty = cfg;
+            faulty.policy.dbrb.fault.faultsPerMillion = 200000;
+            sweep::runGrid(benchmarks, policies, faulty, opts);
+        },
+        testing::ExitedWithCode(1), "different sweep");
+    std::remove(path.c_str());
+}
+
+TEST(SweepManifestDeathTest, OlderSchemaIsRejected)
+{
+    // Checkpoints are ephemeral: a manifest of an older schema is
+    // refused with one line naming both schemas, never half-read.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path = manifestPath("old_schema");
+    const std::string v1 = R"({
+  "schema": 1,
+  "kind": "grid",
+  "fingerprint": {
+    "runs": ["a", "b"],
+    "policies": ["LRU"],
+    "warmup_instructions": 20000,
+    "measure_instructions": 100000
+  },
+  "cells": [
+    {"run": "a", "policy": "LRU", "status": "completed",
+     "metrics": {"mpki": 3.5}},
+    {"run": "b", "policy": "LRU", "status": "pending"}
+  ]
+})";
+    // Schema 2 added cell leases and the sweep's RunConfig.
+    const std::string v2 = R"({
+  "schema": 2,
+  "kind": "grid",
+  "fingerprint": {
+    "runs": ["a", "b"],
+    "policies": ["LRU"],
+    "warmup_instructions": 20000,
+    "measure_instructions": 100000
+  },
+  "config": {"warmup_instructions": 20000,
+             "measure_instructions": 100000},
+  "cells": [
+    {"run": "a", "policy": "LRU", "status": "completed",
+     "metrics": {"mpki": 3.5}, "lease_generation": 1,
+     "started_ms": 10, "finished_ms": 20, "worker_pid": 42},
+    {"run": "b", "policy": "LRU", "status": "leased",
+     "lease_generation": 1,
+     "lease": {"pid": 43, "claimed_ms": 10, "heartbeat_ms": 15}}
+  ]
+})";
+    const RunConfig cfg = tinyConfig();
+    for (const auto &[text, found] :
+         {std::pair{v1, "schema 1"}, std::pair{v2, "schema 2"}}) {
+        ASSERT_TRUE(util::atomicWriteFile(path, text));
+        EXPECT_EXIT(
+            {
+                sweep::SweepManifest m(path, "grid", {"a", "b"},
+                                       {"LRU"}, cfg);
+                m.loadCompleted();
+            },
+            testing::ExitedWithCode(1),
+            std::string(found) + ", expected 3; delete it");
+    }
     std::remove(path.c_str());
 }
 

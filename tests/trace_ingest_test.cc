@@ -4,11 +4,8 @@
  * record/replay round-trips bit-identically through the simulator,
  * compressed traces stream in bounded memory, corrupt traces die
  * with one-line diagnostics, interval selection is deterministic,
- * and a trace-driven sweep grid under the multi-process fabric
- * (TraceSpec through the manifest JSON) matches the serial run.
- *
- * This binary has a custom main(): sweep::maybeWorkerMain must run
- * before InitGoogleTest so the binary can host worker subprocesses.
+ * and a trace-driven sweep grid on the thread pool, and its resume
+ * from the manifest, match the serial run.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +17,6 @@
 
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
-#include "sim/worker.hh"
 #include "trace/champsim.hh"
 #include "trace/interval_select.hh"
 #include "trace/spec_profiles.hh"
@@ -305,7 +301,7 @@ TEST(IntervalSelect, SelectionIsDeterministic)
         expectSameAccess(got[0][i], records[iv.firstRecord + i], i);
 }
 
-/** Serial vs fabric comparison for trace-driven cells. */
+/** Serial vs parallel comparison for trace-driven cells. */
 void
 expectSameResult(const RunResult &a, const RunResult &b)
 {
@@ -323,10 +319,9 @@ expectSameResult(const RunResult &a, const RunResult &b)
 TEST(TraceSweep, IntervalSelectedGridMatchesSerialUnderWorkers)
 {
     // Record one trace; every cell of the grid replays it with
-    // interval selection, so the TraceSpec must survive the manifest
-    // JSON round trip into the worker processes.
-    const std::string path =
-        tempPath("sweep.champsim"); // absolute: workers share it
+    // interval selection, on two pool threads and then from the
+    // manifest those cells checkpointed.
+    const std::string path = tempPath("sweep.champsim");
     SyntheticWorkload gen(specProfile("462.libquantum"));
     recordChampSimTrace(gen, 200000, path);
 
@@ -351,34 +346,29 @@ TEST(TraceSweep, IntervalSelectedGridMatchesSerialUnderWorkers)
     EXPECT_GT(probe.traceInstructions, 190000u);
     EXPECT_LT(probe.simulatedInstructions, probe.traceInstructions);
 
-    if (!sweep::workerCapable())
-        GTEST_SKIP() << "no worker fabric on this platform";
     sweep::SweepOptions opts;
-    opts.workers = 2;
-    opts.manifestPath =
-        tempPath("trace_sweep.manifest.json");
+    opts.jobs = 2;
+    opts.manifestPath = tempPath("trace_sweep.manifest.json");
     std::remove(opts.manifestPath.c_str());
-    std::remove((opts.manifestPath + ".lock").c_str());
-    const sweep::Grid fabric =
+    const sweep::Grid parallel =
         sweep::runGrid(runs, policies, cfg, opts);
-    ASSERT_TRUE(fabric.ok());
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_EQ(parallel.resumed, 0u);
     for (std::size_t p = 0; p < policies.size(); ++p)
-        expectSameResult(fabric.at(0, p), serial.at(0, p));
+        expectSameResult(parallel.at(0, p), serial.at(0, p));
+
+    // The checkpointed TraceSpec matches, so both cells restore.
+    opts.resume = true;
+    const sweep::Grid resumed =
+        sweep::runGrid(runs, policies, cfg, opts);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_EQ(resumed.resumed, policies.size());
+    for (std::size_t p = 0; p < policies.size(); ++p)
+        expectSameResult(resumed.at(0, p), serial.at(0, p));
 
     std::remove(opts.manifestPath.c_str());
-    std::remove((opts.manifestPath + ".lock").c_str());
     std::remove(path.c_str());
 }
 
 } // anonymous namespace
 } // namespace sdbp
-
-int
-main(int argc, char **argv)
-{
-    // Must precede InitGoogleTest: in a worker invocation this never
-    // returns, and in a normal one it unlocks worker spawning.
-    sdbp::sweep::maybeWorkerMain(argc, argv);
-    testing::InitGoogleTest(&argc, argv);
-    return RUN_ALL_TESTS();
-}

@@ -24,7 +24,10 @@ sdbp:: code.  It fails if any audited symbol:
 Known cold-branch edges are waived individually in the policy file --
 each waiver names a symbol pattern, violation class, callee pattern,
 a maximum number of sites and a one-line reason, so a new `new` in a
-hot function still fails even when an old one is waived.  The policy
+hot function still fails even when an old one is waived.  A waiver
+that covers no violation in any audited binary also fails the audit:
+its edge is gone (or its symbol is excluded or never audited), and a
+stale waiver would silently cover the next regression.  The policy
 also carries a self-check: the type-erased virtual-path symbol must
 contain at least one indirect call, proving the detector works.
 
@@ -154,14 +157,16 @@ def classify(callee):
 
 def audit_binary(path, root_res, manifest_pats, exclude_res,
                  waivers):
-    """Return (violations, stats) for one binary."""
+    """Return (violations, stats, per-waiver match counts) for one
+    binary."""
     text = run_process(["objdump", "-d", "-C", path])
     blocks = parse_disassembly(text)
     roots = find_roots(blocks, root_res, manifest_pats, exclude_res)
     if not roots:
         return [{"binary": path, "symbol": "", "class": "audit",
                  "callee": "", "detail": "no audited symbols found "
-                 "(roots/manifest match nothing)"}], {}
+                 "(roots/manifest match nothing)"}], {}, \
+            [0] * len(waivers)
 
     audited, worklist = set(), sorted(roots)
     violations = []
@@ -191,14 +196,17 @@ def audit_binary(path, root_res, manifest_pats, exclude_res,
                     "callee": target,
                     "detail": f"{cls} call from audited symbol"})
 
-    violations = apply_waivers(violations, waivers)
+    violations, matched = apply_waivers(violations, waivers)
     stats = {"binary": path, "roots": len(roots),
              "audited": len(audited)}
-    return violations, stats
+    return violations, stats, matched
 
 
 def apply_waivers(violations, waivers):
-    """Drop violations covered by a policy waiver; enforce max_sites."""
+    """Drop violations covered by a policy waiver; enforce max_sites.
+
+    Returns (remaining violations, per-waiver count of the violations
+    each waiver matched, including those past its max_sites)."""
     remaining = []
     counts = [0] * len(waivers)
     for v in violations:
@@ -215,7 +223,18 @@ def apply_waivers(violations, waivers):
                 break
         if "waived_by" not in v:
             remaining.append(v)
-    return remaining
+    return remaining, counts
+
+
+def unused_waivers(waivers, matched):
+    """One audit failure per waiver that matched no violation in any
+    audited binary (@p matched: per-waiver totals)."""
+    return [{"binary": "*", "symbol": w["symbol"], "class": "audit",
+             "callee": "",
+             "detail": f"unused waiver ({w['class']}): it matched no "
+                       f"violation in any audited binary; delete it "
+                       f"-- {w['reason']}"}
+            for w, n in zip(waivers, matched) if n == 0]
 
 
 def self_check(binaries, policy):
@@ -270,14 +289,17 @@ def main(argv=None):
     waivers = policy.get("waivers", [])
 
     all_violations, all_stats = [], []
+    matched = [0] * len(waivers)
     for path in args.binary:
         if not os.path.exists(path):
             sys.exit(f"error: binary not found: {path}")
-        v, s = audit_binary(path, root_res, manifest_pats,
-                            exclude_res, waivers)
+        v, s, m = audit_binary(path, root_res, manifest_pats,
+                               exclude_res, waivers)
         all_violations.extend(v)
         all_stats.append(s)
+        matched = [a + b for a, b in zip(matched, m)]
 
+    all_violations.extend(unused_waivers(waivers, matched))
     all_violations.extend(self_check(args.binary, policy))
 
     for v in all_violations:

@@ -31,7 +31,6 @@
 #include "obs/span_tracer.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
-#include "sim/worker.hh"
 #include "trace/champsim.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/workload.hh"
@@ -68,22 +67,11 @@ usage(const char *prog)
            "grid\n"
         << "  --jobs <n>           sweep threads (default SDBP_JOBS "
            "or all cores)\n"
-        << "  --workers <n>        crash-isolated worker *processes* "
-           "instead of\n"
-        << "                       threads (default SDBP_WORKERS or "
-           "0 = in-process);\n"
-        << "                       requires --manifest\n"
         << "  --retries <n>        extra attempts per failing sweep "
            "cell\n"
         << "                       (default SDBP_RETRIES or 0)\n"
         << "  --manifest <path>    checkpoint each cell outcome to "
            "this JSON\n"
-        << "  --manifest-info <f>  print the per-cell state of a "
-           "sweep manifest\n"
-        << "                       (status, lease pid/generation, "
-           "crash detail)\n"
-        << "                       and exit; works on in-flight "
-           "sweeps\n"
         << "  --resume             restore completed cells from the "
            "manifest\n"
         << "                       instead of re-running them\n"
@@ -404,104 +392,11 @@ summarizeSpans(const std::string &path)
     return 0;
 }
 
-/**
- * `--manifest-info <file>`: print the per-cell state of a sweep
- * manifest — the operator's view of an in-flight (or crashed)
- * multi-process sweep.  Shows each cell's status, the live lease
- * (worker pid, generation, heartbeat age) for Leased cells, and the
- * structured crash detail (signal, attempts) for Failed ones.
- *
- * Exit status: 0 when every cell completed, 1 when any cell failed
- * or was skipped, 3 while the sweep is still in flight (pending or
- * leased cells remain), 2 on a malformed file.
- */
-int
-summarizeManifest(const std::string &path)
-{
-    bool ok = false;
-    const std::string text = util::readFile(path, &ok);
-    if (!ok) {
-        std::cerr << "error: cannot read " << path << "\n";
-        return 2;
-    }
-    std::string parse_err;
-    const auto doc = obs::JsonValue::parse(text, &parse_err);
-    if (!doc) {
-        std::cerr << "error: " << path << ": " << parse_err << "\n";
-        return 2;
-    }
-    const obs::JsonValue *cells = doc->find("cells");
-    if (!cells || !cells->isArray()) {
-        std::cerr << "error: " << path
-                  << " is not a sweep manifest (no cells array)\n";
-        return 2;
-    }
-    const auto file = obs::fromJson<sweep::ManifestFile>(*doc);
-
-    std::cout << "Sweep manifest " << path << " (schema v" << file.schema
-              << ", kind " << file.kind << "): " << file.cells.size()
-              << " cell(s)\n\n";
-
-    using sweep::CellStatus;
-    const std::uint64_t now_ms = util::monotonicMs();
-    std::size_t completed = 0, failed = 0, leased = 0, pending = 0,
-                skipped = 0, crashed = 0;
-    TextTable t({"Cell", "Status", "Att", "Pid", "Gen", "Hb age",
-                 "Detail"});
-    for (const sweep::CellRecord &c : file.cells) {
-        std::string pid = "-", hb_age = "-";
-        if (c.status == CellStatus::Leased) {
-            ++leased;
-            pid = std::to_string(c.lease.pid);
-            const std::uint64_t hb = c.lease.heartbeatMs;
-            hb_age = hb && hb <= now_ms
-                         ? formatDouble((now_ms - hb) / 1000.0, 1) +
-                               " s"
-                         : "?";
-        } else if (c.workerPid) {
-            pid = std::to_string(c.workerPid);
-        }
-        std::string detail;
-        if (c.status == CellStatus::Completed) {
-            ++completed;
-        } else if (c.status == CellStatus::Failed) {
-            ++failed;
-            if (c.crashed) {
-                ++crashed;
-                detail = "crashed, signal " + std::to_string(c.signal) +
-                         ": ";
-            }
-            detail += c.error;
-        } else if (c.status == CellStatus::Skipped) {
-            ++skipped;
-        } else if (c.status == CellStatus::Pending) {
-            ++pending;
-        }
-        t.row()
-            .cell(c.run + "/" + c.policy)
-            .cell(obs::toJson(c.status).asString())
-            .cell(c.attempts ? std::to_string(c.attempts) : "-")
-            .cell(pid)
-            .cell(c.generation ? std::to_string(c.generation) : "-")
-            .cell(hb_age)
-            .cell(detail.empty() ? "-" : detail);
-    }
-    t.print(std::cout);
-    std::cout << "\n" << completed << " completed, " << failed
-              << " failed (" << crashed << " crashed), " << leased
-              << " leased, " << pending << " pending, " << skipped
-              << " skipped\n";
-    if (pending > 0 || leased > 0)
-        return 3;
-    return failed > 0 || skipped > 0 ? 1 : 0;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    sweep::maybeWorkerMain(argc, argv);
     std::string benchmark = "456.hmmer";
     std::string policy_name = "Sampler";
     RunConfig cfg = RunConfig::singleCore();
@@ -509,7 +404,6 @@ main(int argc, char **argv)
     bool dump_stats = false;
     std::string spans_file;
     std::string spans_out;
-    std::string manifest_info;
     std::string trace_file;
     std::string record_out;
     sweep::SweepOptions opts = sweep::SweepOptions::fromEnvironment();
@@ -535,16 +429,11 @@ main(int argc, char **argv)
                 std::cerr << "error: --jobs needs a positive count\n";
                 return 2;
             }
-        } else if (arg == "--workers" || arg == "-w") {
-            opts.workers = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
         } else if (arg == "--retries") {
             opts.retries = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
         } else if (arg == "--manifest") {
             opts.manifestPath = next();
-        } else if (arg == "--manifest-info") {
-            manifest_info = next();
         } else if (arg == "--resume") {
             opts.resume = true;
         } else if (arg == "--fault-rate") {
@@ -606,8 +495,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (!manifest_info.empty())
-        return summarizeManifest(manifest_info);
     if (!spans_file.empty())
         return summarizeSpans(spans_file);
     if (!spans_out.empty())
@@ -692,11 +579,6 @@ main(int argc, char **argv)
         std::cerr << "error: --resume requires --manifest\n";
         return 2;
     }
-    if (opts.workers > 0 && opts.manifestPath.empty()) {
-        std::cerr << "error: --workers requires --manifest (the "
-                     "manifest is the coordination substrate)\n";
-        return 2;
-    }
 
     const unsigned jobs =
         opts.jobs ? opts.jobs : sweep::defaultJobs();
@@ -707,14 +589,6 @@ main(int argc, char **argv)
                   << cfg.warmupInstructions << " warmup + "
                   << cfg.measureInstructions
                   << " measured instructions)...\n\n";
-    else if (opts.workers > 0)
-        std::cout << "Sweeping " << benchmarks.size()
-                  << " benchmark(s) x " << kinds.size()
-                  << " policy(ies) across " << opts.workers
-                  << " crash-isolated worker process(es) ("
-                  << cfg.warmupInstructions << " warmup + "
-                  << cfg.measureInstructions
-                  << " measured instructions per run)...\n\n";
     else
         std::cout << "Sweeping " << benchmarks.size()
                   << " benchmark(s) x " << kinds.size()
@@ -730,10 +604,8 @@ main(int argc, char **argv)
     for (const auto &err : grid.errors) {
         std::cerr << "FAILED cell " << err.run << "/" << err.policy
                   << " after " << err.attempts << " attempt(s)"
-                  << (err.timedOut ? " [timeout]" : "");
-        if (err.crashed)
-            std::cerr << " [crashed, signal " << err.signal << "]";
-        std::cerr << ": " << err.message << "\n";
+                  << (err.timedOut ? " [timeout]" : "") << ": "
+                  << err.message << "\n";
     }
     if (grid.skipped > 0)
         std::cerr << "interrupted: " << grid.skipped

@@ -131,7 +131,7 @@ def main(argv=None):
     ap.add_argument("--min-hot", type=int, default=0,
                     help="fail unless at least N hot functions were "
                          "found (guards against a silent scan "
-                         "failure; CI uses 10)")
+                         "failure; CI uses 80)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule ids and exit")
     args = ap.parse_args(argv)

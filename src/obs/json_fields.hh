@@ -103,21 +103,6 @@ class JsonWriter
             (*this)(key, member);
     }
 
-    /**
-     * A sub-object whose fields are flat members of this struct:
-     * written (with the fields @p fn lists) only when @p present.
-     */
-    template <typename Fn>
-    void
-    group(const char *key, bool present, Fn &&fn)
-    {
-        if (!present)
-            return;
-        JsonWriter sub;
-        fn(sub);
-        out_.set(key, std::move(sub.out_));
-    }
-
     JsonValue take() { return std::move(out_); }
 
   private:
@@ -151,19 +136,6 @@ class JsonReader
     when(bool, const char *key, T &member)
     {
         (*this)(key, member);
-    }
-
-    /** A present group sets @p present and reads its fields. */
-    template <typename Fn>
-    void
-    group(const char *key, bool &present, Fn &&fn)
-    {
-        const JsonValue *f = in_.find(key);
-        if (!f)
-            return;
-        present = true;
-        JsonReader sub(*f);
-        fn(sub);
     }
 
   private:

@@ -10,9 +10,9 @@
  * are why sweeps that record them cannot resume (sim/sweep.hh).
  *
  * Each list is in the order its keys appear in the JSON; optional
- * blocks (a non-default TraceSpec, the SDBP override, DBRB stats,
- * interval-selection summaries) are written only when they carry
- * information, so plain synthetic sweeps keep their established shape.
+ * blocks (a non-default TraceSpec, the SDBP override, DBRB stats) are
+ * written only when they carry information, so plain synthetic sweeps
+ * keep their established shape.
  */
 
 #ifndef SDBP_SIM_CHECKPOINT_HH
@@ -185,8 +185,6 @@ struct JsonFields<TraceSpec>
     {
         v("kind", t.kind);
         v("path", t.path);
-        v("interval_instructions", t.intervalInstructions);
-        v("select_clusters", t.selectClusters);
     }
 };
 
@@ -261,12 +259,6 @@ struct JsonFields<RunResult>
         v.when(r.hasDbrb, "dbrb", r.dbrb);
         v("faults_injected", r.faultsInjected);
         v("wall_seconds", r.wallSeconds);
-        v.group("interval", r.intervalSelected, [&r](auto &g) {
-            g("trace_instructions", r.traceInstructions);
-            g("intervals_total", r.intervalsTotal);
-            g("intervals_simulated", r.intervalsSimulated);
-            g("simulated_instructions", r.simulatedInstructions);
-        });
     }
 };
 

@@ -8,12 +8,8 @@
 #include <memory>
 #include <mutex>
 
-#include <cmath>
-
 #include "obs/span_tracer.hh"
 #include "obs/trace_sink.hh"
-#include "trace/interval_select.hh"
-#include "trace/trace_file.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -301,115 +297,12 @@ runSingleCoreWith(AccessGenerator &workload,
     return res;
 }
 
-/**
- * Interval-selected run (DESIGN.md §17): fingerprint + cluster the
- * trace, then simulate one representative interval per cluster — each
- * on a fresh engine, warmed by its predecessor interval — and blend
- * the per-representative metrics by cluster instruction share into
- * full-trace estimates.
- */
-RunResult
-runIntervalSelected(const std::string &benchmark, PolicyKind kind,
-                    const RunConfig &cfg)
-{
-    const auto wall_start = std::chrono::steady_clock::now();
-    if (cfg.trace.synthetic())
-        fatal("interval selection needs a trace file "
-              "(record one with sdbp_inspect --record)");
-
-    auto reader = openTraceReader(cfg.trace.path);
-    IntervalSelectConfig isc;
-    isc.intervalInstructions = cfg.trace.intervalInstructions;
-    isc.clusters = cfg.trace.selectClusters;
-    const IntervalSelection sel = selectIntervals(*reader, isc);
-
-    // Materialize each representative and its predecessor (the
-    // cache warm-up) in one sequential pass.
-    std::vector<std::size_t> wanted;
-    for (const auto &rep : sel.reps) {
-        if (rep.interval > 0)
-            wanted.push_back(rep.interval - 1);
-        wanted.push_back(rep.interval);
-    }
-    auto collected = collectIntervals(*reader, sel, wanted);
-
-    RunResult res;
-    res.benchmark = benchmark;
-    res.policy = policyName(kind);
-    res.intervalSelected = true;
-    res.traceInstructions = sel.totalInstructions;
-    res.intervalsTotal = sel.intervals.size();
-    res.intervalsSimulated = sel.reps.size();
-
-    // Instruction-share weighting: CPI (not IPC) averages linearly
-    // over instructions, so IPC blends through its reciprocal.
-    double cpi_w = 0, mpki_w = 0, apki_w = 0, bpki_w = 0;
-    std::size_t slot = 0;
-    for (const auto &rep : sel.reps) {
-        std::vector<Access> records;
-        InstCount warm_instr = 0;
-        if (rep.interval > 0) {
-            records = std::move(collected[slot++]);
-            warm_instr = sel.intervals[rep.interval - 1].instructions;
-        }
-        const auto &measure = collected[slot++];
-        records.insert(records.end(), measure.begin(), measure.end());
-
-        RunConfig sub = cfg;
-        sub.trace = TraceSpec{}; // the records below are the source
-        sub.warmupInstructions = warm_instr;
-        sub.measureInstructions =
-            sel.intervals[rep.interval].instructions;
-        sub.obs = ObsOptions{}; // per-rep artifacts are meaningless
-        sub.recordLlcTrace = false;
-        sub.trackEfficiency = false;
-
-        TraceReplayGenerator gen(std::move(records));
-        const RunResult r =
-            runSingleCoreWith(gen, benchmark, kind, sub);
-        res.simulatedInstructions += warm_instr + r.instructions;
-        res.faultsInjected += r.faultsInjected;
-
-        const double w = rep.weight;
-        if (r.ipc > 0)
-            cpi_w += w / r.ipc;
-        mpki_w += w * r.mpki;
-        if (r.instructions > 0) {
-            const double instr =
-                static_cast<double>(r.instructions);
-            apki_w += w * 1000.0 *
-                static_cast<double>(r.llcAccesses) / instr;
-            bpki_w += w * 1000.0 *
-                static_cast<double>(r.llcBypasses) / instr;
-        }
-    }
-
-    const double total =
-        static_cast<double>(sel.totalInstructions);
-    res.instructions = sel.totalInstructions;
-    res.ipc = cpi_w > 0 ? 1.0 / cpi_w : 0;
-    res.mpki = mpki_w;
-    res.llcMisses = static_cast<std::uint64_t>(
-        std::llround(mpki_w * total / 1000.0));
-    res.llcAccesses = static_cast<std::uint64_t>(
-        std::llround(apki_w * total / 1000.0));
-    res.llcBypasses = static_cast<std::uint64_t>(
-        std::llround(bpki_w * total / 1000.0));
-    res.cycles = res.ipc > 0
-        ? static_cast<Cycle>(std::llround(total / res.ipc))
-        : 0;
-    res.wallSeconds = secondsSince(wall_start);
-    return res;
-}
-
 } // anonymous namespace
 
 RunResult
 runSingleCore(const std::string &benchmark, PolicyKind kind,
               RunConfig cfg)
 {
-    if (cfg.trace.selectionEnabled())
-        return runIntervalSelected(benchmark, kind, cfg);
     const auto gen = makeTraceSource(cfg.trace, benchmark);
     return runSingleCoreWith(*gen, benchmark, kind, cfg);
 }
@@ -423,8 +316,7 @@ runMulticore(const MixProfile &mix, PolicyKind kind, RunConfig cfg)
     cfg.hierarchy.numCores = cores;
     cfg.policy.numThreads = cores;
 
-    // Interval selection is a single-core methodology; a multi-core
-    // mix with a file-backed trace replays the full trace per core.
+    // A file-backed trace replays in full on every core.
     std::vector<std::unique_ptr<AccessGenerator>> workloads;
     std::vector<AccessGenerator *> gens;
     for (std::uint32_t c = 0; c < cores; ++c) {
@@ -449,7 +341,7 @@ runMulticore(const MixProfile &mix, PolicyKind kind, RunConfig cfg)
 double
 isolatedIpc(const std::string &benchmark, RunConfig cfg)
 {
-    // Shared across sweep workers: the memo is the only mutable
+    // Shared across sweep threads: the memo is the only mutable
     // process-wide state in the runner, so it is mutex-guarded.  The
     // key covers the cache geometry and instruction budget so
     // different configurations (quad-core 8 MB, future geometries)
@@ -467,7 +359,7 @@ isolatedIpc(const std::string &benchmark, RunConfig cfg)
             return it->second;
     }
 
-    // Simulate outside the lock; two workers racing on the same key
+    // Simulate outside the lock; two threads racing on the same key
     // compute the same deterministic value, and emplace keeps the
     // first.
     RunConfig solo = cfg;

@@ -56,9 +56,9 @@ struct RunConfig
     /**
      * Where the reference stream comes from: the benchmark's
      * synthetic workload by default, or a trace file (native or
-     * ChampSim), optionally simulated via interval selection
-     * (DESIGN.md §17).  Part of a sweep manifest's fingerprint, so
-     * a resume under another trace is refused.
+     * ChampSim) replayed in full (DESIGN.md §17).  Part of a sweep
+     * manifest's fingerprint, so a resume under another trace is
+     * refused.
      */
     TraceSpec trace;
     PolicyOptions policy;
@@ -111,20 +111,6 @@ struct RunResult
     /** Host hardware counters over warmup+measure (valid gated;
      *  no-op hosts report valid=false).  DESIGN.md §14. */
     util::PerfCounters::Sample hostPerf;
-
-    /**
-     * Interval-selection summary (when cfg.trace.selectionEnabled()).
-     * In that mode `instructions`, `ipc`, `mpki` and the LLC counters
-     * above are weighted full-trace *estimates*;
-     * `simulatedInstructions` is what actually ran (warm-up intervals
-     * included), so traceInstructions / simulatedInstructions is the
-     * speedup factor.
-     */
-    bool intervalSelected = false;
-    std::uint64_t traceInstructions = 0;
-    std::uint64_t intervalsTotal = 0;
-    std::uint64_t intervalsSimulated = 0;
-    std::uint64_t simulatedInstructions = 0;
 };
 
 /** Simulate one benchmark under one LLC policy on a single core. */
@@ -159,7 +145,7 @@ MulticoreRunResult runMulticore(const MixProfile &mix, PolicyKind kind,
  * multi-core geometry — the SingleIPC denominator of the weighted
  * speedup metric (Sec. VI-A2).  Results are memoized per
  * (benchmark, cache geometry, instruction budget) within the
- * process; the memo is mutex-guarded, so concurrent sweep workers
+ * process; the memo is mutex-guarded, so concurrent sweep threads
  * may call this freely.
  */
 double isolatedIpc(const std::string &benchmark,

@@ -161,23 +161,6 @@ NativeTraceReader::rewind()
     readHeader();
 }
 
-// --- VectorTraceReader ----------------------------------------------
-
-VectorTraceReader::VectorTraceReader(std::vector<Access> records,
-                                     std::string label)
-    : records_(std::move(records)), label_(std::move(label))
-{
-}
-
-std::size_t
-VectorTraceReader::readBatch(std::span<Access> out)
-{
-    std::size_t produced = 0;
-    while (produced < out.size() && pos_ < records_.size())
-        out[produced++] = records_[pos_++];
-    return produced;
-}
-
 // --- Format dispatch ------------------------------------------------
 
 std::unique_ptr<TraceReader>

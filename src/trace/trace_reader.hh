@@ -13,8 +13,8 @@
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "trace/access.hh"
 
@@ -70,7 +70,7 @@ class TraceReader
     virtual std::size_t readBatch(std::span<Access> out) = 0;
     virtual void rewind() = 0;
 
-    /** Display name of the source (file path, or a label). */
+    /** Display name of the source: its file path. */
     virtual const std::string &source() const = 0;
 };
 
@@ -96,27 +96,6 @@ class NativeTraceReader final : public TraceReader
     TraceInput input_;
     std::uint64_t declared_ = 0;
     std::uint64_t consumed_ = 0;
-};
-
-/**
- * In-memory reader over a materialized record vector — the adapter
- * that lets interval selection and tests run on synthetic streams
- * without touching the filesystem.
- */
-class VectorTraceReader final : public TraceReader
-{
-  public:
-    explicit VectorTraceReader(std::vector<Access> records,
-                               std::string label = "<memory>");
-
-    std::size_t readBatch(std::span<Access> out) override;
-    void rewind() override { pos_ = 0; }
-    const std::string &source() const override { return label_; }
-
-  private:
-    std::vector<Access> records_;
-    std::string label_;
-    std::size_t pos_ = 0;
 };
 
 /**

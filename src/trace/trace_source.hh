@@ -2,12 +2,11 @@
  * @file
  * The unified TraceSource API: a TraceSpec names where a run's
  * reference stream comes from — the synthetic workload generators
- * (the default), a native sdbp trace file, or a ChampSim trace —
- * plus the interval-selection parameters, and makeTraceSource turns
- * it into the AccessGenerator the System consumes.  The spec is
- * embedded in RunConfig and round-trips through the sweep-manifest
- * JSON, so worker-mode sweeps transport trace-driven cells like any
- * other (DESIGN.md §17).
+ * (the default), a native sdbp trace file, or a ChampSim trace — and
+ * makeTraceSource turns it into the AccessGenerator the System
+ * consumes.  The spec is embedded in RunConfig and so is part of a
+ * sweep manifest's fingerprint: a trace-driven grid checkpoints and
+ * resumes like any other (DESIGN.md §17).
  */
 
 #ifndef SDBP_TRACE_TRACE_SOURCE_HH
@@ -42,21 +41,8 @@ struct TraceSpec
     TraceKind kind = TraceKind::Synthetic;
     /** Trace file path (Native/ChampSim; compressed .gz/.xz ok). */
     std::string path;
-    /**
-     * Interval-selection parameters (DESIGN.md §17): when both are
-     * nonzero the run splits the trace into intervals of
-     * intervalInstructions instructions, clusters their fingerprints
-     * into selectClusters groups, and simulates one weighted
-     * representative per cluster instead of the whole trace.
-     */
-    std::uint64_t intervalInstructions = 0;
-    unsigned selectClusters = 0;
 
     bool synthetic() const { return kind == TraceKind::Synthetic; }
-    bool selectionEnabled() const
-    {
-        return intervalInstructions > 0 && selectClusters > 0;
-    }
 
     bool operator==(const TraceSpec &) const = default;
 };

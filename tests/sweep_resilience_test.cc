@@ -128,26 +128,6 @@ TEST(SweepManifestTest, RunResultJsonRoundTrip)
     EXPECT_EQ(back.dbrb.bypasses, r.dbrb.bypasses);
     EXPECT_EQ(back.faultsInjected, r.faultsInjected);
     EXPECT_EQ(back.wallSeconds, r.wallSeconds);
-    EXPECT_FALSE(back.intervalSelected);
-}
-
-TEST(SweepManifestTest, IntervalResultJsonRoundTrip)
-{
-    RunResult r;
-    r.benchmark = "trace";
-    r.policy = "LRU";
-    r.intervalSelected = true;
-    r.traceInstructions = 4'000'000;
-    r.intervalsTotal = 64;
-    r.intervalsSimulated = 3;
-    r.simulatedInstructions = 375'000;
-
-    const RunResult back = obs::fromJson<RunResult>(obs::toJson(r));
-    EXPECT_TRUE(back.intervalSelected);
-    EXPECT_EQ(back.traceInstructions, r.traceInstructions);
-    EXPECT_EQ(back.intervalsTotal, r.intervalsTotal);
-    EXPECT_EQ(back.intervalsSimulated, r.intervalsSimulated);
-    EXPECT_EQ(back.simulatedInstructions, r.simulatedInstructions);
 }
 
 TEST(SweepManifestTest, TraceSpecJsonRoundTrip)
@@ -163,11 +143,8 @@ TEST(SweepManifestTest, TraceSpecJsonRoundTrip)
     RunConfig cfg;
     cfg.trace.kind = TraceKind::ChampSim;
     cfg.trace.path = "/tmp/some.trace.xz";
-    cfg.trace.intervalInstructions = 125'000;
-    cfg.trace.selectClusters = 3;
     const RunConfig back = obs::fromJson<RunConfig>(obs::toJson(cfg));
     EXPECT_TRUE(back.trace == cfg.trace);
-    EXPECT_TRUE(back.trace.selectionEnabled());
 }
 
 TEST(SweepManifestTest, MulticoreResultJsonRoundTrip)
@@ -217,15 +194,6 @@ class Perturb
     when(bool, const char *key, T &member)
     {
         (*this)(key, member);
-    }
-
-    template <typename Fn>
-    void
-    group(const char *key, bool &present, Fn &&fn)
-    {
-        keys.insert(key);
-        present = true;
-        fn(*this);
     }
 
     /** Perturb every listed field of @p m. */
@@ -394,6 +362,41 @@ TEST(SweepManifestDeathTest, FingerprintMismatchIsFatal)
             RunConfig faulty = cfg;
             faulty.policy.dbrb.fault.faultsPerMillion = 200000;
             sweep::runGrid(benchmarks, policies, faulty, opts);
+        },
+        testing::ExitedWithCode(1), "different sweep");
+    std::remove(path.c_str());
+
+    // A schema-3 manifest whose trace block still carries the
+    // interval-selection keys holds weighted interval estimates, not
+    // full replays: resuming it over the same trace must be refused.
+    RunConfig traced = cfg;
+    traced.trace.kind = TraceKind::ChampSim;
+    traced.trace.path = "t.champsim";
+    sweep::ManifestFile file;
+    file.schema = sweep::SweepManifest::kSchemaVersion;
+    file.kind = "grid";
+    file.fingerprint = {{"t"}, {"LRU"}, obs::toJson(traced)};
+    file.cells.resize(1);
+    file.cells[0].run = "t";
+    file.cells[0].policy = "LRU";
+    file.cells[0].status = sweep::CellStatus::Completed;
+    file.cells[0].metrics = obs::JsonValue::object();
+    file.cells[0].metrics.set("mpki", 3.5);
+    // Without those keys the same file restores its cell.
+    ASSERT_TRUE(util::atomicWriteFile(path, obs::toJson(file).dump()));
+    {
+        sweep::SweepManifest m(path, "grid", {"t"}, {"LRU"}, traced);
+        EXPECT_EQ(m.loadCompleted(), 1u);
+    }
+    obs::JsonValue trace = obs::toJson(traced.trace);
+    trace.set("interval_instructions", std::uint64_t{25000});
+    trace.set("select_clusters", std::uint64_t{3});
+    file.fingerprint.config.set("trace", std::move(trace));
+    ASSERT_TRUE(util::atomicWriteFile(path, obs::toJson(file).dump()));
+    EXPECT_EXIT(
+        {
+            sweep::SweepManifest m(path, "grid", {"t"}, {"LRU"}, traced);
+            m.loadCompleted();
         },
         testing::ExitedWithCode(1), "different sweep");
     std::remove(path.c_str());

@@ -3,9 +3,9 @@
  * Tests for the real-trace pipeline (DESIGN.md §17): ChampSim
  * record/replay round-trips bit-identically through the simulator,
  * compressed traces stream in bounded memory, corrupt traces die
- * with one-line diagnostics, interval selection is deterministic,
- * and a trace-driven sweep grid on the thread pool, and its resume
- * from the manifest, match the serial run.
+ * with one-line diagnostics, and a trace-driven sweep grid on the
+ * thread pool, and its resume from the manifest, match the serial
+ * run.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "trace/champsim.hh"
-#include "trace/interval_select.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_reader.hh"
@@ -262,45 +261,6 @@ TEST(TraceIngest, StreamingReplayWrapsLikeInMemoryReplay)
     std::remove(path.c_str());
 }
 
-TEST(IntervalSelect, SelectionIsDeterministic)
-{
-    SyntheticWorkload gen(specProfile("429.mcf"));
-    std::vector<Access> records;
-    for (int i = 0; i < 20000; ++i)
-        records.push_back(gen.next());
-
-    IntervalSelectConfig cfg;
-    cfg.intervalInstructions = 2000;
-    cfg.clusters = 4;
-    VectorTraceReader r1(records), r2(records);
-    const IntervalSelection a = selectIntervals(r1, cfg);
-    const IntervalSelection b = selectIntervals(r2, cfg);
-
-    ASSERT_EQ(a.reps.size(), b.reps.size());
-    ASSERT_LE(a.reps.size(), 4u);
-    double weight_sum = 0;
-    for (std::size_t i = 0; i < a.reps.size(); ++i) {
-        EXPECT_EQ(a.reps[i].interval, b.reps[i].interval);
-        EXPECT_EQ(a.reps[i].weight, b.reps[i].weight);
-        weight_sum += a.reps[i].weight;
-    }
-    EXPECT_NEAR(weight_sum, 1.0, 1e-9);
-    ASSERT_EQ(a.intervals.size(), b.intervals.size());
-    for (std::size_t i = 0; i < a.intervals.size(); ++i)
-        EXPECT_EQ(a.intervals[i].cluster, b.intervals[i].cluster);
-
-    // collectIntervals returns exactly the records of each interval.
-    VectorTraceReader r3(records);
-    const auto got = collectIntervals(
-        r3, a, {a.reps[0].interval, a.reps[0].interval});
-    ASSERT_EQ(got.size(), 2u);
-    const TraceInterval &iv = a.intervals[a.reps[0].interval];
-    ASSERT_EQ(got[0].size(), iv.recordCount);
-    EXPECT_EQ(got[0].size(), got[1].size());
-    for (std::size_t i = 0; i < got[0].size(); ++i)
-        expectSameAccess(got[0][i], records[iv.firstRecord + i], i);
-}
-
 /** Serial vs parallel comparison for trace-driven cells. */
 void
 expectSameResult(const RunResult &a, const RunResult &b)
@@ -309,27 +269,22 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.mpki, b.mpki);
     EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_EQ(a.intervalSelected, b.intervalSelected);
-    EXPECT_EQ(a.traceInstructions, b.traceInstructions);
-    EXPECT_EQ(a.intervalsTotal, b.intervalsTotal);
-    EXPECT_EQ(a.intervalsSimulated, b.intervalsSimulated);
-    EXPECT_EQ(a.simulatedInstructions, b.simulatedInstructions);
 }
 
-TEST(TraceSweep, IntervalSelectedGridMatchesSerialUnderWorkers)
+TEST(TraceSweep, TraceGridMatchesSerialAndResumes)
 {
-    // Record one trace; every cell of the grid replays it with
-    // interval selection, on two pool threads and then from the
-    // manifest those cells checkpointed.
+    // Record one trace; every cell of the grid replays it, on two
+    // pool threads and then from the manifest those cells
+    // checkpointed.
     const std::string path = tempPath("sweep.champsim");
     SyntheticWorkload gen(specProfile("462.libquantum"));
     recordChampSimTrace(gen, 200000, path);
 
     RunConfig cfg = RunConfig::singleCore();
+    cfg.warmupInstructions = 50000;
+    cfg.measureInstructions = 150000;
     cfg.trace.kind = TraceKind::ChampSim;
     cfg.trace.path = path;
-    cfg.trace.intervalInstructions = 20000;
-    cfg.trace.selectClusters = 2;
 
     const std::vector<std::string> runs = {"trace"};
     const std::vector<PolicyKind> policies = {PolicyKind::Lru,
@@ -340,11 +295,10 @@ TEST(TraceSweep, IntervalSelectedGridMatchesSerialUnderWorkers)
     const sweep::Grid serial =
         sweep::runGrid(runs, policies, cfg, serial_opts);
     ASSERT_TRUE(serial.ok());
-    const RunResult &probe = serial.at(0, 0);
-    EXPECT_TRUE(probe.intervalSelected);
-    EXPECT_EQ(probe.intervalsSimulated, 2u);
-    EXPECT_GT(probe.traceInstructions, 190000u);
-    EXPECT_LT(probe.simulatedInstructions, probe.traceInstructions);
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+        EXPECT_GE(serial.at(0, p).instructions, cfg.measureInstructions);
+        EXPECT_GT(serial.at(0, p).llcMisses, 0u);
+    }
 
     sweep::SweepOptions opts;
     opts.jobs = 2;

@@ -47,14 +47,16 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _common import load_json, run_process  # noqa: E402
 
 SYMBOL_RE = re.compile(r"^[0-9a-f]+ <(.+)>:$")
-CALL_RE = re.compile(r"\b(?:call|callq)\s+[0-9a-f]+\s+<([^>]+)>")
+# The callee runs to the last '>' on the line: a demangled template
+# name (std::vector<sdbp::LlcRef, ...>::emplace_back<...>) holds '>'s.
+CALL_RE = re.compile(r"\b(?:call|callq)\s+[0-9a-f]+\s+<(.+)>\s*$")
 INDIRECT_CALL_RE = re.compile(r"\b(?:call|callq)\s+\*")
 # Indirect tail-jump through a base register (vtable thunk shape).
 # Jump tables use the indexed form `jmp *0x...(,%reg,8)` and are not
 # dispatch, so a bare base register is required.
 INDIRECT_JMP_RE = re.compile(r"\bjmp[a-z]*\s+\*(?:0x[0-9a-f]+)?"
                              r"\(%r[a-z0-9]+\)")
-TAIL_JMP_RE = re.compile(r"\bjmp[a-z]*\s+[0-9a-f]+\s+<([^>]+)>")
+TAIL_JMP_RE = re.compile(r"\bjmp[a-z]*\s+[0-9a-f]+\s+<(.+)>\s*$")
 
 CLASSES = {
     "alloc": re.compile(
@@ -90,7 +92,7 @@ def parse_disassembly(text):
     for line in text.splitlines():
         m = SYMBOL_RE.match(line)
         if m:
-            current = clean_symbol(m.group(1))
+            current = clean_symbol(m[1])
             blocks.setdefault(current, [])
         elif current is not None and line.strip():
             blocks[current].append(line)
@@ -133,7 +135,7 @@ def call_edges(lines):
     for line in lines:
         m = CALL_RE.search(line)
         if m:
-            yield "direct", clean_symbol(m.group(1))
+            yield "direct", clean_symbol(m[1])
             continue
         if INDIRECT_CALL_RE.search(line) or \
                 INDIRECT_JMP_RE.search(line):
@@ -141,10 +143,10 @@ def call_edges(lines):
             continue
         m = TAIL_JMP_RE.search(line)
         if m:
-            callee = clean_symbol(m.group(1))
+            callee = clean_symbol(m[1])
             # A tail jump to another function is a call for audit
             # purposes; local branches carry a +0x offset.
-            if "+0x" not in m.group(1):
+            if "+0x" not in m[1]:
                 yield "direct", callee
 
 

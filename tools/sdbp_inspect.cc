@@ -92,13 +92,6 @@ usage(const char *prog)
         << "                       ChampSim trace covering the run's "
            "instruction\n"
         << "                       budget, then exit\n"
-        << "  --intervals <n>      interval-selection: interval "
-           "length in\n"
-        << "                       instructions (with --select)\n"
-        << "  --select <k>         interval-selection: simulate k "
-           "weighted\n"
-        << "                       representative intervals of the "
-           "trace\n"
         << "  --json <path>        write the run-artifact JSON\n"
         << "  --csv <path>         write the derived timeline CSV\n"
         << "  --events <path>      stream every trace event "
@@ -464,12 +457,6 @@ main(int argc, char **argv)
             trace_file = next();
         } else if (arg == "--record") {
             record_out = next();
-        } else if (arg == "--intervals") {
-            cfg.trace.intervalInstructions =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--select") {
-            cfg.trace.selectClusters = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
         } else if (arg == "--events") {
             cfg.obs.traceJsonlPath = next();
         } else if (arg == "--spans") {
@@ -524,16 +511,6 @@ main(int argc, char **argv)
         std::cout << "[recorded " << written << " instructions of "
                   << *resolved << " to " << record_out << "]\n";
         return 0;
-    }
-
-    if (cfg.trace.selectionEnabled() && trace_file.empty()) {
-        std::cerr << "error: --intervals/--select need --trace\n";
-        return 2;
-    }
-    if ((cfg.trace.intervalInstructions > 0) !=
-        (cfg.trace.selectClusters > 0)) {
-        std::cerr << "error: --intervals and --select go together\n";
-        return 2;
     }
 
     std::vector<std::string> benchmarks;
@@ -632,33 +609,6 @@ main(int argc, char **argv)
         if (!grid.ok())
             return grid.skipped > 0 ? 130 : 1;
         const RunResult &res = grid.at(0, 0);
-        if (res.intervalSelected) {
-            // Interval selection runs without per-rep artifacts;
-            // print the weighted full-trace estimates instead.
-            TextTable t({"Metric", "Value"});
-            t.row().cell("trace").cell(res.benchmark);
-            t.row().cell("policy").cell(res.policy);
-            t.row().cell("trace instructions").cell(
-                std::to_string(res.traceInstructions));
-            t.row().cell("intervals (simulated/total)").cell(
-                std::to_string(res.intervalsSimulated) + "/" +
-                std::to_string(res.intervalsTotal));
-            t.row().cell("instructions simulated").cell(
-                std::to_string(res.simulatedInstructions));
-            t.row().cell("instruction reduction").cell(
-                formatDouble(res.simulatedInstructions > 0
-                                 ? static_cast<double>(
-                                       res.traceInstructions) /
-                                     static_cast<double>(
-                                         res.simulatedInstructions)
-                                 : 0, 1) + "x");
-            t.row().cell("estimated IPC").cell(
-                formatDouble(res.ipc, 3));
-            t.row().cell("estimated LLC MPKI").cell(
-                formatDouble(res.mpki, 3));
-            t.print(std::cout);
-            return 0;
-        }
         if (!res.artifacts && grid.resumed > 0) {
             // Manifest checkpoints carry metrics, not artifacts.
             std::cout << res.benchmark << " under " << res.policy

@@ -39,7 +39,7 @@ def strip_comments_and_strings(text):
     for i, line in enumerate(text.splitlines(), start=1):
         m = _ALLOW_RE.search(line)
         if m:
-            allows[i] = {r.strip() for r in m.group(1).split(",")}
+            allows[i] = {r.strip() for r in m[1].split(",")}
 
     out = []
     i, n = 0, len(text)
@@ -67,8 +67,8 @@ def strip_comments_and_strings(text):
                 out.append(c)
                 i += 1
                 continue
-            end = text.find(")" + m.group(1) + '"', i + m.end())
-            end = n if end < 0 else end + len(m.group(1)) + 2
+            end = text.find(")" + m[1] + '"', i + m.end())
+            end = n if end < 0 else end + len(m[1]) + 2
             for ch in text[i:end]:
                 out.append("\n" if ch == "\n" else " ")
             i = end
@@ -180,7 +180,7 @@ def _head_function(head):
     if "(" not in head:
         return None
     for m in _FUNC_NAME_RE.finditer(head):
-        name = m.group(1)
+        name = m[1]
         base = name.split("::")[-1]
         if base in _NOT_CALLS or base in ("SDBP_HOT_PATH",):
             continue
@@ -284,8 +284,8 @@ def parse_file(path, text=None):
             i += 1
             start = i
         elif cls_m:
-            info = ClassInfo(name=cls_m.group(1),
-                             final=bool(cls_m.group(2)))
+            info = ClassInfo(name=cls_m[1],
+                             final=bool(cls_m[2]))
             end = _find_matching_brace(stripped, i)
             sf.classes.append(info)
             hot_decls = []
@@ -329,7 +329,7 @@ def extract_calls(body):
     """Yield (name, is_member, args, offset) for call sites in a
     stripped function body.  `args` is the raw argument text."""
     for m in _ID_CALL_RE.finditer(body):
-        name = m.group(1)
+        name = m[1]
         base = name.split("::")[-1]
         if base in _NOT_CALLS:
             continue

@@ -95,18 +95,18 @@ def hot_violations(fn, devirt):
     for m in re.finditer(r"\bthrow\b(?!\s*\()", fn.body):
         add("hot-throw", m.start(), "throw expression")
     for m in _LOCK_RE.finditer(fn.body):
-        add("hot-lock", m.start(), f"lock primitive '{m.group(0)}'")
+        add("hot-lock", m.start(), f"lock primitive '{m[0]}'")
     for m in _ATOMIC_ORDER_RE.finditer(fn.body):
         add("hot-atomic-order", m.start(),
-            f"atomic ordering '{m.group(0)}' stronger than relaxed")
+            f"atomic ordering '{m[0]}' stronger than relaxed")
     for m in _IO_STREAM_RE.finditer(fn.body):
-        add("hot-io", m.start(), f"I/O stream '{m.group(0)}'")
+        add("hot-io", m.start(), f"I/O stream '{m[0]}'")
     for m in _MEMBER_PTR_CALL_RE.finditer(fn.body):
         add("hot-virtual", m.start(),
             "indirect call through member pointer")
     for m in _SPAN_TOKEN_RE.finditer(fn.body):
         add("hot-span", m.start(),
-            f"span tracing '{m.group(0)}' (spans are cell/phase "
+            f"span tracing '{m[0]}' (spans are cell/phase "
             f"granularity only)")
 
     for name, is_member, args, off in extract_calls(fn.body):
@@ -164,10 +164,10 @@ def det_violations(fn, sanctioned_getenv=False):
 
     for m in _WALLCLOCK_RE.finditer(fn.body):
         add("det-wallclock", m.start(),
-            f"wall-clock read '{m.group(0).strip()}'")
+            f"wall-clock read '{m[0].strip()}'")
     for m in _RANDOM_RE.finditer(fn.body):
         add("det-random", m.start(),
-            f"non-seeded randomness '{m.group(0).strip()}' "
+            f"non-seeded randomness '{m[0].strip()}' "
             f"(use sdbp::Rng)")
     if not sanctioned_getenv:
         for m in _GETENV_RE.finditer(fn.body):
@@ -186,7 +186,7 @@ def unordered_iteration_violations(sf):
     if not names:
         return out
     for m in _RANGE_FOR_RE.finditer(sf.stripped):
-        range_expr = m.group(2)
+        range_expr = m[2]
         if not any(re.search(rf"\b{re.escape(n)}\b", range_expr)
                    for n in names):
             continue

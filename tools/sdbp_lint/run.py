@@ -12,8 +12,10 @@ Violations can be suppressed inline with ``// sdbp-lint: allow(rule)``
 or collectively in the baseline file, which pairs every suppression
 with a one-line justification.
 
-Exit status: 0 clean (modulo baseline), 1 violations or stale scan,
-2 usage error.  Stdlib-only; no libclang required.
+Exit status: 0 clean (modulo baseline), 1 violations, a stale
+baseline entry (one that matches no violation: its code is gone, and
+it would silently cover the next regression) or a stale scan, 2 usage
+error.  Stdlib-only; no libclang required.
 """
 
 import argparse
@@ -251,9 +253,9 @@ def main(argv=None):
 
     stale = [e for e in baseline if baseline_key(e) not in matched]
     for e in stale:
-        print(f"warning: stale baseline entry "
-              f"[{e['rule']}] {e['file']} {e.get('symbol', '')}",
-              file=sys.stderr)
+        print(f"error: stale baseline entry "
+              f"[{e['rule']}] {e['file']} {e.get('symbol', '')}: it "
+              f"matches no violation; delete it", file=sys.stderr)
 
     for v in fresh:
         via = f"  (reached from {v.root})" if v.root and \
@@ -264,8 +266,9 @@ def main(argv=None):
     n_base = len(violations) - len(fresh)
     print(f"sdbp-lint: {len(files)} files, {n_hot} hot functions, "
           f"{len(reached)} reachable from hot roots; "
-          f"{len(fresh)} violations ({n_base} baselined)")
-    return 1 if fresh else 0
+          f"{len(fresh)} violations ({n_base} baselined, "
+          f"{len(stale)} stale)")
+    return 1 if fresh or stale else 0
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def run_lint(src_dir, extra=()):
     proc = subprocess.run(
         [sys.executable, RUN_PY, "--src", src_dir, *extra],
         capture_output=True, text=True)
-    rules = {m.group(1) for m in
+    rules = {m[1] for m in
              (RULE_LINE.match(l) for l in proc.stdout.splitlines())
              if m}
     return proc, rules
@@ -122,6 +122,26 @@ class FixtureTests(unittest.TestCase):
                                    extra=("--baseline", baseline))
             self.assertEqual(proc.returncode, 0, proc.stdout)
             self.assertEqual(rules, set())
+
+    def test_stale_baseline_entry_fails(self):
+        import json
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copy(os.path.join(FIXTURES, "hot_alloc.cc"), tmp)
+            baseline = os.path.join(tmp, "baseline.json")
+            run_lint(tmp, extra=("--baseline", baseline,
+                                 "--update-baseline"))
+            # The baselined violation's code is gone: its entry now
+            # covers nothing, and the lint must say so and fail.
+            os.remove(os.path.join(tmp, "hot_alloc.cc"))
+            shutil.copy(os.path.join(FIXTURES, "clean.cc"), tmp)
+            proc, rules = run_lint(tmp,
+                                   extra=("--baseline", baseline))
+            self.assertEqual(rules, set())
+            self.assertEqual(proc.returncode, 1, proc.stdout)
+            self.assertIn("stale baseline entry [hot-alloc]",
+                          proc.stderr)
+            with open(baseline) as f:
+                self.assertEqual(len(json.load(f)["entries"]), 1)
 
 
 if __name__ == "__main__":

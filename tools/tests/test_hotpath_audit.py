@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Tests of tools/hotpath_audit.py's waiver accounting.
+"""Tests of tools/hotpath_audit.py's call parser and waiver accounting.
 
-Each case feeds synthetic violation lists through the audit's own
-apply_waivers / unused_waivers, so no binary or objdump is needed.
+Each case feeds a synthetic disassembly, or synthetic violation lists,
+through the audit's own functions, so no binary or objdump is needed.
 """
 
 import os
+import re
 import sys
 import unittest
+from unittest import mock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, ".."))
@@ -86,6 +88,54 @@ class WaiverTests(unittest.TestCase):
         site = violation("sdbp::Cold::grow()", "alloc", "malloc")
         failures = audit([[dict(site)], [dict(site)]], waivers)
         self.assertEqual(failures, [])
+
+
+# objdump -d -C output: a hot root that calls a templated vector
+# method (whose demangled name starts with its sdbp:: return type)
+# and tail-jumps into a templated sdbp:: method; both allocate.
+DISASSEMBLY = """\
+0000000000401000 <sdbp::Hot::record(sdbp::LlcRef const&)>:
+  401000:\te8 fb 0f 00 00       \tcall   402000 <sdbp::LlcRef& \
+std::vector<sdbp::LlcRef, std::allocator<sdbp::LlcRef> >::\
+emplace_back<sdbp::LlcRef>(sdbp::LlcRef&&)>
+  401005:\t75 02                \tjne    401009 \
+<sdbp::Hot::record(sdbp::LlcRef const&)+0x9>
+  401007:\teb f7                \tjmp    403000 \
+<sdbp::Ring<sdbp::LlcRef>::push(sdbp::LlcRef const&)>
+  401009:\tc3                   \tret
+
+0000000000402000 <sdbp::LlcRef& std::vector<sdbp::LlcRef, \
+std::allocator<sdbp::LlcRef> >::emplace_back<sdbp::LlcRef>\
+(sdbp::LlcRef&&)>:
+  402000:\te8 fb ef ff ff       \tcall   401f00 \
+<operator new(unsigned long)@plt>
+  402005:\tc3                   \tret
+
+0000000000403000 <sdbp::Ring<sdbp::LlcRef>::push(sdbp::LlcRef const&)>:
+  403000:\te8 fb ff ff ff       \tcall   401e00 <malloc@plt>
+  403005:\tc3                   \tret
+"""
+
+
+class CallParserTests(unittest.TestCase):
+
+    def test_templated_callees_are_walked_and_classified(self):
+        with mock.patch.object(hotpath_audit, "run_process",
+                               return_value=DISASSEMBLY):
+            violations, stats, _ = hotpath_audit.audit_binary(
+                "bin", [re.compile(r"sdbp::Hot::record\(")], [], [],
+                [])
+        self.assertEqual(stats["roots"], 1)
+        self.assertEqual(stats["audited"], 3)
+        found = sorted((v["symbol"].split("(")[0], v["callee"])
+                       for v in violations)
+        self.assertEqual(found, [
+            ("sdbp::LlcRef& std::vector<sdbp::LlcRef, "
+             "std::allocator<sdbp::LlcRef> >::emplace_back<sdbp::LlcRef>",
+             "operator new(unsigned long)"),
+            ("sdbp::Ring<sdbp::LlcRef>::push", "malloc"),
+        ])
+        self.assertTrue(all(v["class"] == "alloc" for v in violations))
 
 
 if __name__ == "__main__":
